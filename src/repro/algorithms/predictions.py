@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
 from ..core.bins import Bin
 from ..core.items import Item
 from ..core.state import PackingState
@@ -52,6 +50,8 @@ class LogNormalPredictor:
     def predict_duration(self, item: Item) -> float:
         if self.sigma == 0.0:
             return item.duration
+        import numpy as np  # kept off the import path of the engine and service
+
         rng = np.random.default_rng((self.seed, item.item_id))
         return float(item.duration * math.exp(self.sigma * rng.standard_normal()))
 

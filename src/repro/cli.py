@@ -29,29 +29,48 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .algorithms import ALGORITHM_REGISTRY, CLAIRVOYANT_REGISTRY, make_algorithm
-from .analysis.bounds import KNOWN_BOUNDS, bounds_table
-from .analysis.verification import verify_analysis
 from .core.packing import run_packing
-from .experiments import EXPERIMENT_ORDER, SPEC_REGISTRY
-from .experiments.figures import FigureOutput
-from .experiments.spec import PROFILES
 from .opt.opt_total import opt_total
-from .viz.timeline import render_bins
-from .workloads import (
-    gaming_workload,
-    load_trace,
-    next_fit_lower_bound,
-    poisson_workload,
-    save_trace,
-    universal_lower_bound,
-    best_fit_staircase,
-)
 
 __all__ = ["main", "build_parser"]
+
+# Beyond the engine core that ``repro/__init__`` loads anyway, each
+# command imports the layers it runs inside its own function, so
+# ``repro serve`` never loads numpy, the experiments or the analysis
+# code, and a batch ``repro pack`` never loads the service.
+
+
+class _ChoicesFrom:
+    """Argparse ``choices`` read from a module attribute on first use.
+
+    ``repro run`` still rejects an unknown experiment id at parse time,
+    but the registry (every experiment spec) is imported only when a
+    value is checked or an error lists the choices.  Arguments using it
+    set a ``metavar`` and keep ``%(choices)s`` out of their help,
+    because argparse would list the choices to format either.
+    """
+
+    def __init__(self, module: str, name: str):
+        self._module = module
+        self._name = name
+
+    def _values(self) -> Sequence[str]:
+        __import__(self._module)
+        return getattr(sys.modules[self._module], self._name)
+
+    def __contains__(self, value) -> bool:
+        return value in self._values()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._values())
+
+
+_EXPERIMENT_IDS = _ChoicesFrom("repro.experiments", "EXPERIMENT_ORDER")
+_PROFILES = _ChoicesFrom("repro.experiments.spec", "PROFILES")
 
 
 def _positive_int(text: str) -> int:
@@ -91,7 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-experiments", help="the experiment index")
 
     p_run = sub.add_parser("run", help="run one experiment by id")
-    p_run.add_argument("experiment", choices=list(EXPERIMENT_ORDER))
+    p_run.add_argument(
+        "experiment", metavar="experiment", choices=_EXPERIMENT_IDS,
+        help="experiment id (see 'repro list-experiments')",
+    )
     p_run.add_argument(
         "--workers",
         type=_workers_int,
@@ -111,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "effort; errors if the spec has none)",
     )
     p_run.add_argument(
-        "--profile", choices=list(PROFILES), default=None,
+        "--profile", metavar="PROFILE", choices=_PROFILES, default=None,
         help="parameter profile (default: full; smoke = small CI config)",
     )
     p_run.add_argument(
@@ -587,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(defaults --cache-dir to .repro-cache)",
     )
     p_report.add_argument(
-        "--profile", choices=list(PROFILES), default=None,
+        "--profile", metavar="PROFILE", choices=_PROFILES, default=None,
         help="parameter profile (default: full; smoke = small CI config)",
     )
     p_report.add_argument(
@@ -606,6 +628,8 @@ def _make_any(name: str):
 
 
 def cmd_list_algorithms() -> int:
+    from .analysis.bounds import KNOWN_BOUNDS
+
     bound_by_name = {b.algorithm: b for b in KNOWN_BOUNDS}
     print(f"{'name':24s} {'model':14s} known bounds (at µ)")
     print("-" * 64)
@@ -629,6 +653,8 @@ def cmd_list_algorithms() -> int:
 
 
 def cmd_list_experiments() -> int:
+    from .experiments import EXPERIMENT_ORDER, SPEC_REGISTRY
+
     print(f"{'id':6s} target")
     print("-" * 60)
     for eid in EXPERIMENT_ORDER:
@@ -652,6 +678,8 @@ def _seed_override(spec, seed: Optional[int]) -> dict:
 def cmd_run(args) -> int:
     import json
 
+    from .experiments import SPEC_REGISTRY
+    from .experiments.figures import FigureOutput
     from .experiments.runner import artifact_document, run_spec
 
     spec = SPEC_REGISTRY[args.experiment]
@@ -679,6 +707,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_generate(kind: str, out: str, n: int, seed: int, mu: float, rate: float) -> int:
+    from .workloads import (
+        best_fit_staircase,
+        gaming_workload,
+        next_fit_lower_bound,
+        poisson_workload,
+        save_trace,
+        universal_lower_bound,
+    )
+
     if kind == "poisson":
         items = poisson_workload(n, seed=seed, mu_target=mu, arrival_rate=rate)
     elif kind == "gaming":
@@ -700,6 +737,8 @@ def cmd_generate(kind: str, out: str, n: int, seed: int, mu: float, rate: float)
 
 
 def cmd_pack(trace: str, algorithm: str, want_opt: bool, render: bool) -> int:
+    from .workloads import load_trace
+
     items = load_trace(trace)
     result = run_packing(items, _make_any(algorithm), capacity=items.capacity)
     print(result.summary())
@@ -710,11 +749,16 @@ def cmd_pack(trace: str, algorithm: str, want_opt: bool, render: bool) -> int:
         print(f"conservative ratio: {result.total_usage_time / opt.lower:.4f} "
               f"(µ+4 bound: {items.mu + 4:.2f})")
     if render:
+        from .viz.timeline import render_bins
+
         print(render_bins(result))
     return 0
 
 
 def cmd_verify(trace: str) -> int:
+    from .analysis.verification import verify_analysis
+    from .workloads import load_trace
+
     items = load_trace(trace)
     result = run_packing(items, make_algorithm("first-fit"), capacity=items.capacity)
     report = verify_analysis(result)
@@ -1036,10 +1080,16 @@ def cmd_loadgen(args) -> int:
             f"{stats.censored} censored; {stats.unfinished} unfinished)"
         )
     elif args.trace:
+        from .workloads import load_trace
+
         items = load_trace(args.trace)
     elif args.kind == "gaming":
+        from .workloads import gaming_workload
+
         items = gaming_workload(args.n, seed=args.seed, request_rate=args.rate)
     else:
+        from .workloads import poisson_workload
+
         items = poisson_workload(
             args.n, seed=args.seed, mu_target=args.mu, arrival_rate=args.rate
         )
@@ -1086,6 +1136,7 @@ def cmd_trace(args) -> int:
         normalize_items,
         sample_trace_file,
     )
+    from .workloads import save_trace
 
     try:
         if args.trace_command == "generate":
@@ -1182,6 +1233,8 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "run":
         return cmd_run(args)
     if args.command == "bounds":
+        from .analysis.bounds import bounds_table
+
         print(bounds_table(args.mu))
         return 0
     if args.command == "generate":
@@ -1212,7 +1265,7 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "trace":
         return cmd_trace(args)
     if args.command == "inspect":
-        from .workloads.profile import profile_instance
+        from .workloads import load_trace, profile_instance
 
         print(profile_instance(load_trace(args.trace)).render())
         return 0

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .intervals import Interval
 from .result import PackingResult
 
@@ -103,6 +101,8 @@ def time_weighted_average(timeline: Sequence[tuple[float, float]]) -> float:
     """
     if len(timeline) < 2:
         return 0.0
+    import numpy as np  # kept off the import path of the engine and service
+
     ts = np.array([t for t, _ in timeline])
     vs = np.array([v for _, v in timeline])
     widths = np.diff(ts)

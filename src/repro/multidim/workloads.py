@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .items import VectorItem, VectorItemList
 
 __all__ = ["vector_workload", "correlated_vector_workload"]
@@ -22,6 +20,8 @@ def vector_workload(
     Sizes are uniform on ``(0.02, max_component]`` independently per
     resource; durations exponential clipped to ``[1, µ_target]``.
     """
+    import numpy as np  # kept off the import path of the engine and service
+
     rng = np.random.default_rng(seed)
     arrivals = np.cumsum(rng.exponential(1.0 / arrival_rate, n))
     sizes = rng.uniform(0.02, max_component, size=(n, dimensions))
@@ -55,6 +55,8 @@ def correlated_vector_workload(
     """
     if not (0.0 <= correlation <= 1.0):
         raise ValueError("correlation must be in [0, 1]")
+    import numpy as np  # kept off the import path of the engine and service
+
     rng = np.random.default_rng(seed)
     arrivals = np.cumsum(rng.exponential(1.0 / arrival_rate, n))
     base = rng.uniform(0.05, 0.6, n)

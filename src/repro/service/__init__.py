@@ -20,125 +20,72 @@ shard-scoped context (:mod:`.shard` — engine + WAL dir + manifest-bound
 identity), a consistent-hash router (:mod:`.router`) fronts N of them
 on both wire protocols, and a supervisor (:mod:`.fleet` /
 ``repro fleet``) spawns, restarts, and live-hands-off the workers.
+
+Every public name below is imported from its submodule on first use
+(:mod:`repro._lazy`), so a ``repro serve`` worker never loads the
+router, the supervisor or the load generator.
 """
 
-from .admission import (
-    ADMIT,
-    QUEUE,
-    REJECT,
-    SHED,
-    AdmissionPolicy,
-    AdmitAll,
-    LoadShedding,
-    OpenServerBudget,
-    make_admission_policy,
-)
-from .engine import Placement, StreamingEngine
-from .faults import FaultInjected, FaultInjector, FaultPlan, KillPoint
-from .fleet import FleetSupervisor
-from .loadgen import LoadgenReport, RetryPolicy, loadgen, run_loadgen, tenantize
-from .metrics import (
-    Counter,
-    DecisionLog,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_expositions,
-    relabel_exposition,
-)
-from .protocol import (
-    PROTOCOL_VERSION,
-    PROTOCOLS,
-    FrameError,
-)
-from .recovery import (
-    DedupWindow,
-    DurableEngine,
-    RecoveryReport,
-    latest_checkpoint,
-    recover,
-)
-from .router import BackendLink, HashRing, ShardRouter, partition_items, route_key
-from .server import AllocationService, ProtocolError, build_engine, serve
-from .shard import ShardContext, ShardSpec, shard_manifest
-from .snapshot import (
-    config_fingerprint,
-    dumps,
-    loads,
-    read_checkpoint,
-    restore_engine,
-    snapshot_engine,
-    write_checkpoint,
-)
-from .wal import (
-    WalCorruptionError,
-    WalError,
-    WriteAheadLog,
-    read_manifest,
-    replay_wal,
-    write_manifest,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ADMIT",
-    "QUEUE",
-    "REJECT",
-    "SHED",
-    "AdmissionPolicy",
-    "AdmitAll",
-    "AllocationService",
-    "BackendLink",
-    "Counter",
-    "DecisionLog",
-    "DedupWindow",
-    "DurableEngine",
-    "FaultInjected",
-    "FaultInjector",
-    "FaultPlan",
-    "FleetSupervisor",
-    "FrameError",
-    "HashRing",
-    "KillPoint",
-    "PROTOCOLS",
-    "PROTOCOL_VERSION",
-    "Gauge",
-    "Histogram",
-    "LoadShedding",
-    "LoadgenReport",
-    "MetricsRegistry",
-    "OpenServerBudget",
-    "Placement",
-    "ProtocolError",
-    "RecoveryReport",
-    "RetryPolicy",
-    "ShardContext",
-    "ShardRouter",
-    "ShardSpec",
-    "StreamingEngine",
-    "WalCorruptionError",
-    "WalError",
-    "WriteAheadLog",
-    "build_engine",
-    "config_fingerprint",
-    "dumps",
-    "latest_checkpoint",
-    "loadgen",
-    "loads",
-    "make_admission_policy",
-    "merge_expositions",
-    "partition_items",
-    "read_checkpoint",
-    "read_manifest",
-    "recover",
-    "relabel_exposition",
-    "replay_wal",
-    "restore_engine",
-    "route_key",
-    "run_loadgen",
-    "serve",
-    "shard_manifest",
-    "snapshot_engine",
-    "tenantize",
-    "write_checkpoint",
-    "write_manifest",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "admission": (
+            "ADMIT",
+            "QUEUE",
+            "REJECT",
+            "SHED",
+            "AdmissionPolicy",
+            "AdmitAll",
+            "LoadShedding",
+            "OpenServerBudget",
+            "make_admission_policy",
+        ),
+        "engine": ("Placement", "StreamingEngine"),
+        "faults": ("FaultInjected", "FaultInjector", "FaultPlan", "KillPoint"),
+        "fleet": ("FleetSupervisor",),
+        "loadgen": (
+            "LoadgenReport", "RetryPolicy", "loadgen", "run_loadgen", "tenantize"
+        ),
+        "metrics": (
+            "Counter",
+            "DecisionLog",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "merge_expositions",
+            "relabel_exposition",
+        ),
+        "protocol": ("PROTOCOL_VERSION", "PROTOCOLS", "FrameError"),
+        "recovery": (
+            "DedupWindow",
+            "DurableEngine",
+            "RecoveryReport",
+            "latest_checkpoint",
+            "recover",
+        ),
+        "router": (
+            "BackendLink", "HashRing", "ShardRouter", "partition_items", "route_key"
+        ),
+        "server": ("AllocationService", "ProtocolError", "build_engine", "serve"),
+        "shard": ("ShardContext", "ShardSpec", "shard_manifest"),
+        "snapshot": (
+            "config_fingerprint",
+            "dumps",
+            "loads",
+            "read_checkpoint",
+            "restore_engine",
+            "snapshot_engine",
+            "write_checkpoint",
+        ),
+        "wal": (
+            "WalCorruptionError",
+            "WalError",
+            "WriteAheadLog",
+            "read_manifest",
+            "replay_wal",
+            "write_manifest",
+        ),
+    },
+)

@@ -7,6 +7,10 @@ supervisor spawns N ``repro serve`` worker processes (each a
 ``<wal-root>/shard-XX`` directory), fronts them with a
 :class:`~repro.service.router.ShardRouter`, and babysits the processes:
 
+- **Boot.**  Every worker starts at once and the supervisor waits for
+  their ports together, so a fleet is up in the time of one worker
+  boot, not N.  A worker that fails to boot stops the fleet: every
+  worker already started is terminated before the error propagates.
 - **Crash restart.**  A worker that dies mid-stream is respawned on the
   same WAL directory — ``repro serve --wal-dir`` *is* ``repro recover``
   followed by listening, so the restarted worker comes back with the
@@ -131,48 +135,80 @@ class FleetSupervisor:
             cmd.extend(["--fault-plan", self.fault_plans[index]])
         return cmd
 
-    def spawn(self, index: int, *, first_boot: bool = False) -> int:
-        """Start worker ``index`` and wait for its bound port."""
+    def _start(self, index: int, *, first_boot: bool) -> None:
+        """Launch worker ``index`` without waiting for it to bind."""
         os.makedirs(self.shard_dir(index), exist_ok=True)
-        port_file = self._port_file(index)
         try:
-            os.remove(port_file)
+            os.remove(self._port_file(index))
         except FileNotFoundError:
             pass
         env = dict(os.environ)
         src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
         paths = [p for p in (src_root, env.get("PYTHONPATH")) if p]
         env["PYTHONPATH"] = os.pathsep.join(paths)
-        proc = subprocess.Popen(
+        self.procs[index] = subprocess.Popen(
             self.worker_command(index, first_boot=first_boot), env=env
         )
-        self.procs[index] = proc
+
+    def _await_ports(self, indices: Sequence[int]) -> None:
+        """Wait until every worker in ``indices`` has written its bound port.
+
+        Raises ``RuntimeError`` as soon as one of them exits first; the
+        ones still silent at the deadline are killed.  The deadline
+        restarts whenever one of them binds, so no wait outlasts
+        ``spawn_deadline`` without some worker coming up, however many
+        recoveries share the CPUs.
+        """
+        pending = list(indices)
         deadline = time.monotonic() + self.spawn_deadline
-        while time.monotonic() < deadline:
-            try:
-                with open(port_file) as f:
-                    text = f.read().strip()
-                if text:
-                    self.ports[index] = int(text)
-                    return self.ports[index]
-            except (FileNotFoundError, ValueError):
-                pass
-            if proc.poll() is not None:
+        while True:
+            for index in list(pending):
+                try:
+                    with open(self._port_file(index)) as f:
+                        text = f.read().strip()
+                    if text:
+                        self.ports[index] = int(text)
+                        pending.remove(index)
+                        deadline = time.monotonic() + self.spawn_deadline
+                        continue
+                except (FileNotFoundError, ValueError):
+                    pass
+                proc = self.procs[index]
+                if proc.poll() is not None:
+                    raise RuntimeError(
+                        f"shard {index} worker exited with rc {proc.returncode} "
+                        f"before binding a port"
+                    )
+            if not pending:
+                return
+            if time.monotonic() >= deadline:
+                for index in pending:
+                    self.procs[index].kill()
                 raise RuntimeError(
-                    f"shard {index} worker exited with rc {proc.returncode} "
-                    f"before binding a port"
+                    f"shard {pending[0]} worker did not bind a port within "
+                    f"{self.spawn_deadline:.0f}s"
                 )
             time.sleep(0.02)
-        proc.kill()
-        raise RuntimeError(
-            f"shard {index} worker did not bind a port within "
-            f"{self.spawn_deadline:.0f}s"
-        )
+
+    def spawn(self, index: int) -> int:
+        """Restart worker ``index`` and wait for its bound port."""
+        self._start(index, first_boot=False)
+        self._await_ports([index])
+        return self.ports[index]
 
     def spawn_all(self) -> list[tuple[str, int]]:
+        """Start every worker, then wait for all their ports.
+
+        The workers boot (import, recover their WAL dirs) concurrently,
+        so the fleet is up in the time of its slowest worker rather
+        than the sum.  On failure the caller stops the workers already
+        started (:meth:`run` does, in its ``finally``).
+        """
         for index in range(self.num_shards):
-            self.spawn(index, first_boot=True)
-            if not self.quiet:
+            self._start(index, first_boot=True)
+        self._await_ports(range(self.num_shards))
+        if not self.quiet:
+            for index in range(self.num_shards):
                 print(
                     f"repro fleet: shard {index} up at "
                     f"{self.host}:{self.ports[index]} "
@@ -331,21 +367,24 @@ class FleetSupervisor:
         front_port: int = 0,
         port_file: Optional[str] = None,
     ) -> int:
-        """Boot the workers, front them, serve until shutdown."""
-        backends = await asyncio.get_event_loop().run_in_executor(
-            None, self.spawn_all
-        )
-        self.router = ShardRouter(
-            backends,
-            tenants=self._tenants,
-            quiet=self.quiet,
-            reconnect_wait=self.reconnect_wait,
-            handoff_callback=self.handoff,
-            **self.router_kwargs,
-        )
+        """Boot the workers, front them, serve until shutdown.
+
+        The workers are stopped on every way out, a failed boot included.
+        """
         monitor: Optional[asyncio.Task] = None
         prober: Optional[asyncio.Task] = None
         try:
+            backends = await asyncio.get_event_loop().run_in_executor(
+                None, self.spawn_all
+            )
+            self.router = ShardRouter(
+                backends,
+                tenants=self._tenants,
+                quiet=self.quiet,
+                reconnect_wait=self.reconnect_wait,
+                handoff_callback=self.handoff,
+                **self.router_kwargs,
+            )
             await self.router.connect()
             bound = await self.router.start(front_host, front_port)
             if port_file:

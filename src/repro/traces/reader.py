@@ -24,6 +24,7 @@ import csv
 import gzip
 import io
 import json
+from math import isfinite
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
@@ -195,6 +196,9 @@ def record_float(
     rec: dict, field: str, source: Optional[str] = None, line: Optional[int] = None
 ) -> float:
     """Fetch a required finite float field."""
+    value = rec.get(field)
+    if type(value) is float and isfinite(value):
+        return value  # a JSON-native number: the string round trip is a no-op
     raw = record_str(rec, field, source, line)
     try:
         value = float(raw)
@@ -213,6 +217,9 @@ def record_int(
     rec: dict, field: str, source: Optional[str] = None, line: Optional[int] = None
 ) -> int:
     """Fetch a required integer field."""
+    value = rec.get(field)
+    if type(value) is int:
+        return value  # a JSON-native integer; a bool takes the checked path
     raw = record_str(rec, field, source, line)
     try:
         return int(raw)

@@ -1,60 +1,39 @@
-"""Workload generators: random, adversarial, gaming, diurnal, traces."""
+"""Workload generators: random, adversarial, gaming, diurnal, traces.
 
-from .adversarial import (
-    anyfit_pressure,
-    best_fit_staircase,
-    next_fit_lower_bound,
-    universal_lower_bound,
-)
-from .distributions import (
-    Clipped,
-    Constant,
-    DiscreteChoice,
-    Distribution,
-    Exponential,
-    LogNormal,
-    Pareto,
-    Uniform,
-)
-from .diurnal import diurnal_workload, sinusoidal_rate
-from .gaming import DEFAULT_CATALOGUE, GameProfile, gaming_workload
-from .mmpp import MMPPPhase, mmpp_workload, two_phase_bursty
-from .profile import InstanceProfile, profile_instance
-from .random_workloads import RandomWorkload, batch_workload, poisson_workload
-from .resample import resample_trace
-from .traces import from_csv, from_json, load_trace, save_trace, to_csv, to_json
+Every public name below is imported from its submodule on first use
+(:mod:`repro._lazy`): loading a trace file with :func:`load_trace`
+does not import numpy or the generators.
+"""
 
-__all__ = [
-    "Clipped",
-    "Constant",
-    "DEFAULT_CATALOGUE",
-    "DiscreteChoice",
-    "Distribution",
-    "Exponential",
-    "GameProfile",
-    "InstanceProfile",
-    "LogNormal",
-    "MMPPPhase",
-    "Pareto",
-    "RandomWorkload",
-    "Uniform",
-    "anyfit_pressure",
-    "batch_workload",
-    "best_fit_staircase",
-    "diurnal_workload",
-    "from_csv",
-    "from_json",
-    "gaming_workload",
-    "load_trace",
-    "mmpp_workload",
-    "next_fit_lower_bound",
-    "profile_instance",
-    "resample_trace",
-    "poisson_workload",
-    "save_trace",
-    "sinusoidal_rate",
-    "to_csv",
-    "to_json",
-    "two_phase_bursty",
-    "universal_lower_bound",
-]
+from .._lazy import lazy_exports
+
+__all__ = lazy_exports(
+    __name__,
+    {
+        "adversarial": (
+            "anyfit_pressure",
+            "best_fit_staircase",
+            "next_fit_lower_bound",
+            "universal_lower_bound",
+        ),
+        "distributions": (
+            "Clipped",
+            "Constant",
+            "DiscreteChoice",
+            "Distribution",
+            "Exponential",
+            "LogNormal",
+            "Pareto",
+            "Uniform",
+        ),
+        "diurnal": ("diurnal_workload", "sinusoidal_rate"),
+        "gaming": ("DEFAULT_CATALOGUE", "GameProfile", "gaming_workload"),
+        "mmpp": ("MMPPPhase", "mmpp_workload", "two_phase_bursty"),
+        "profile": ("InstanceProfile", "profile_instance"),
+        "random_workloads": ("RandomWorkload", "batch_workload", "poisson_workload"),
+        "resample": ("resample_trace",),
+        "traces": (
+            "from_csv", "from_json", "load_trace", "save_trace", "to_csv", "to_json"
+        ),
+    },
+)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -28,6 +29,7 @@ from repro.service import (
     read_manifest,
     run_loadgen,
     tenantize,
+    write_manifest,
 )
 from repro.workloads import poisson_workload
 
@@ -118,6 +120,107 @@ def test_fleet_cli_smoke(tmp_path):
         assert manifest is not None
         assert manifest["shard_id"] == i
         assert manifest["num_shards"] == SHARDS
+
+
+def _workers_under(root: str) -> list[int]:
+    """Pids of live processes whose command line names a path under ``root``."""
+    needle = os.fsencode(root)
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as f:
+                argv = f.read().split(b"\0")
+        except OSError:
+            continue  # exited while we looked
+        if b"serve" in argv and any(arg.startswith(needle) for arg in argv):
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_failed_fleet_boot_stops_every_worker(tmp_path):
+    """One worker refusing to boot (its WAL dir belongs to a 3-shard
+    fleet) fails ``repro fleet`` with rc 1, and the workers that did
+    start are stopped rather than left running."""
+    wal_root = str(tmp_path / "fleet")
+    write_manifest(
+        os.path.join(wal_root, "shard-01"),
+        {"version": 1, "shard_id": 1, "num_shards": 3},
+    )
+    # a file, not a pipe: a leaked worker would hold a pipe open
+    stderr_path = tmp_path / "stderr"
+    try:
+        with open(stderr_path, "w") as stderr:
+            rc = subprocess.call(
+                [
+                    sys.executable, "-m", "repro", "fleet",
+                    "--shards", str(SHARDS),
+                    "--wal-dir", wal_root,
+                    "--port", "0",
+                    "--fsync", "never",
+                    "--quiet",
+                ],
+                env=_env_with_src(),
+                stderr=stderr,
+                timeout=120,
+            )
+        errors = stderr_path.read_text()
+        assert rc == 1, errors
+        assert "shard 1 worker exited with rc 2 before binding a port" in errors
+        assert "belongs to a different shard/config" in errors
+        assert _workers_under(wal_root) == []
+    finally:
+        for pid in _workers_under(wal_root):
+            os.kill(pid, signal.SIGKILL)
+
+
+_STAND_IN_WORKER = """
+import os, sys, time
+port_file, delay = sys.argv[1], sys.argv[2]
+if delay == "never":
+    time.sleep(60)
+time.sleep(float(delay))
+with open(port_file + ".tmp", "w") as f:
+    f.write("1\\n")
+os.replace(port_file + ".tmp", port_file)
+time.sleep(60)
+"""
+
+
+class _StaggeredFleet(FleetSupervisor):
+    """Workers replaced by stand-ins that write ``PORT`` after a delay."""
+
+    def __init__(self, wal_root, delays, spawn_deadline):
+        super().__init__(len(delays), wal_root, spawn_deadline=spawn_deadline)
+        self.delays = delays
+
+    def worker_command(self, index, *, first_boot):
+        return [sys.executable, "-c", _STAND_IN_WORKER,
+                self._port_file(index), str(self.delays[index])]
+
+
+def test_boot_deadline_restarts_whenever_a_worker_binds(tmp_path):
+    """A fleet whose workers come up one after another, each within the
+    spawn deadline of the last, boots even though the whole boot takes
+    longer than the deadline (more shards than CPUs recover in turn)."""
+    fleet = _StaggeredFleet(str(tmp_path), [0.6, 1.2, 1.8], spawn_deadline=1.0)
+    try:
+        assert fleet.spawn_all() == [("127.0.0.1", 1)] * 3
+    finally:
+        fleet.stop_workers()
+
+
+def test_boot_fails_once_no_worker_binds_within_the_deadline(tmp_path):
+    fleet = _StaggeredFleet(str(tmp_path), [0.2, "never"], spawn_deadline=1.0)
+    try:
+        with pytest.raises(RuntimeError,
+                           match="shard 1 worker did not bind a port within 1s"):
+            fleet.spawn_all()
+        assert fleet.procs[1].wait(timeout=5) is not None  # killed
+    finally:
+        fleet.stop_workers()
 
 
 @pytest.mark.chaos

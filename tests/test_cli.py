@@ -14,6 +14,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "NOPE"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "NOPE"], ["run", "X1", "--profile", "nope"],
+         ["report", "--profile", "nope"]],
+    )
+    def test_registry_choices_checked_at_parse_time(self, argv, capsys):
+        """The experiment ids and profiles load lazily, but a bad value
+        still fails in argparse, listing the valid ones."""
+        with pytest.raises(SystemExit) as e:
+            build_parser().parse_args(argv)
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "'X13'" in err or "'smoke'" in err
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["pack", "x.json", "--algorithm", "nope"])

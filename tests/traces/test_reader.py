@@ -103,6 +103,36 @@ class TestFieldAccessors:
         assert exc.value.field == field
         assert exc.value.line == 9
 
+    def test_json_native_numbers_pass_through(self):
+        rec = {"f": 0.1, "neg": -0.0, "i": 7, "big": 10**30, "whole": 3}
+        assert record_float(rec, "f") == 0.1
+        assert str(record_float(rec, "neg")) == "-0.0"
+        assert record_int(rec, "i") == 7
+        assert record_int(rec, "big") == 10**30
+        # an int in a float field is still converted to float
+        whole = record_float(rec, "whole")
+        assert whole == 3.0 and type(whole) is float
+
+    @pytest.mark.parametrize(
+        "fn,value,message",
+        [
+            (record_float, True, "expected a number, got 'True'"),
+            (record_float, float("nan"), "expected a finite number, got 'nan'"),
+            (record_float, float("inf"), "expected a finite number, got 'inf'"),
+            (record_float, float("-inf"), "expected a finite number, got '-inf'"),
+            (record_int, True, "expected an integer, got 'True'"),
+            (record_int, False, "expected an integer, got 'False'"),
+            (record_int, 1.0, "expected an integer, got '1.0'"),
+            (record_int, 1.5, "expected an integer, got '1.5'"),
+        ],
+    )
+    def test_json_native_rejections_keep_their_message(self, fn, value, message):
+        """Bools, non-finite floats and a float for an int field are not
+        taken as they are: they fail exactly as their string forms do."""
+        with pytest.raises(TraceFormatError) as exc:
+            fn({"x": value}, "x", "t.json", 3)
+        assert str(exc.value) == f"t.json, line 3, field 'x': {message}"
+
 
 class TestFileHelpers:
     def test_suffix_strips_gz(self):

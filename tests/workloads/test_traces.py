@@ -112,6 +112,20 @@ class TestFormatErrors:
             from_json(doc)
         assert "items[1]" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"id": 1.0, "size": 0.5, "arrival": 0, "departure": 1}',
+            '{"id": true, "size": 0.5, "arrival": 0, "departure": 1}',
+            '{"id": 1, "size": NaN, "arrival": 0, "departure": 1}',
+            '{"id": 1, "size": 0.5, "arrival": false, "departure": 1}',
+        ],
+    )
+    def test_json_native_values_of_the_wrong_kind_rejected(self, record):
+        with pytest.raises(TraceFormatError) as exc:
+            from_json('{"items": [' + record + "]}")
+        assert "items[0]" in str(exc.value)
+
     def test_load_trace_attaches_the_path(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("id,size,arrival,departure\n0,nope,0.0,1.0\n")
