@@ -30,6 +30,7 @@ from ..opt.opt_total import opt_total
 
 __all__ = ["ExplorationResult", "explore_worst_case"]
 
+#: ratio and cost tolerance: a gain smaller than this is no gain
 _EPS = 1e-9
 
 

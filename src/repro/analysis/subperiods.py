@@ -54,6 +54,8 @@ __all__ = [
 #: reconstructed — see module docstring).
 SMALL_ITEM_THRESHOLD = 0.5
 
+#: time and length tolerance of the subperiod construction (and its
+#: small-item size cut)
 _EPS = 1e-9
 
 

@@ -63,6 +63,7 @@ __all__ = [
     "analyze_suppliers",
 ]
 
+#: time and period-length tolerance for the supplier-chain checks
 _EPS = 1e-9
 
 

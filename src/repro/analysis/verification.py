@@ -43,6 +43,8 @@ from .usage_periods import decompose_usage_periods
 
 __all__ = ["Violation", "AnalysisReport", "verify_analysis", "theorem1_slack"]
 
+#: proof-check slack on levels, lengths and times: looser than
+#: CAPACITY_EPS because the checked quantities are sums over many periods
 _EPS = 1e-7
 
 

@@ -199,25 +199,57 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect = sub.add_parser("inspect", help="profile a workload trace")
     p_inspect.add_argument("trace")
 
+    # the flags serve and fleet share, with one meaning and default (fleet
+    # passes the engine, durability and defragmenter ones to every worker)
+    server_flags = argparse.ArgumentParser(add_help=False)
+    server_flags.add_argument("--host", default="127.0.0.1")
+    server_flags.add_argument(
+        "--algorithm", default="first-fit", choices=sorted(ALGORITHM_REGISTRY)
+    )
+    server_flags.add_argument("--capacity", type=float, default=1.0)
+    server_flags.add_argument(
+        "--reference", action="store_true",
+        help="disable the adaptive first-fit index (reference scans)",
+    )
+    server_flags.add_argument(
+        "--fsync", default="interval", choices=["never", "interval", "always"],
+        help="WAL fsync policy (default: interval)",
+    )
+    server_flags.add_argument(
+        "--fsync-interval", type=_positive_int, default=512,
+        help="records between fsyncs for --fsync interval (default 512)",
+    )
+    server_flags.add_argument(
+        "--checkpoint-interval", type=_positive_int, default=1000,
+        help="WAL records between automatic checkpoints (default 1000)",
+    )
+    server_flags.add_argument(
+        "--defrag", type=int, default=0, metavar="BUDGET",
+        help="background defragmenter: migrate up to BUDGET items per "
+        "pass to evacuate high-waste bins (default 0 = off)",
+    )
+    server_flags.add_argument(
+        "--defrag-interval", type=float, default=0.5, metavar="SECONDS",
+        help="seconds between defragmenter passes (default 0.5)",
+    )
+    server_flags.add_argument(
+        "--uvloop", action="store_true",
+        help="use the uvloop event loop if installed (warns and falls "
+        "back to asyncio otherwise)",
+    )
+    server_flags.add_argument("--quiet", action="store_true")
+
     p_serve = sub.add_parser(
         "serve",
+        parents=[server_flags],
         help="run the live allocation service (JSON lines over TCP)",
     )
-    p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
         "--port", type=_port_int, default=7077, help="0 = ephemeral port"
     )
     p_serve.add_argument(
         "--port-file", default=None,
         help="write the bound port here (how scripts discover --port 0)",
-    )
-    p_serve.add_argument(
-        "--algorithm", default="first-fit", choices=sorted(ALGORITHM_REGISTRY)
-    )
-    p_serve.add_argument("--capacity", type=float, default=1.0)
-    p_serve.add_argument(
-        "--reference", action="store_true",
-        help="disable the adaptive first-fit index (reference scans)",
     )
     p_serve.add_argument(
         "--admission", default="admit-all",
@@ -240,18 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal-dir", default=None,
         help="durability directory: write-ahead log + checkpoints; an "
         "existing directory is recovered from on startup",
-    )
-    p_serve.add_argument(
-        "--fsync", default="interval", choices=["never", "interval", "always"],
-        help="WAL fsync policy (default: interval)",
-    )
-    p_serve.add_argument(
-        "--fsync-interval", type=_positive_int, default=512,
-        help="records between fsyncs for --fsync interval (default 512)",
-    )
-    p_serve.add_argument(
-        "--checkpoint-interval", type=_positive_int, default=1000,
-        help="WAL records between automatic checkpoints (default 1000)",
     )
     p_serve.add_argument(
         "--checkpoint-bytes", type=_positive_int, default=None,
@@ -282,24 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--idle-timeout", type=float, default=None,
         help="close connections idle for this many seconds",
     )
-    p_serve.add_argument(
-        "--defrag", type=int, default=0, metavar="BUDGET",
-        help="background defragmenter: migrate up to BUDGET items per "
-        "pass to evacuate high-waste bins (default 0 = off)",
-    )
-    p_serve.add_argument(
-        "--defrag-interval", type=float, default=0.5, metavar="SECONDS",
-        help="seconds between defragmenter passes (default 0.5)",
-    )
-    p_serve.add_argument(
-        "--uvloop", action="store_true",
-        help="use the uvloop event loop if installed (warns and falls "
-        "back to asyncio otherwise)",
-    )
-    p_serve.add_argument("--quiet", action="store_true")
 
     p_fleet = sub.add_parser(
         "fleet",
+        parents=[server_flags],
         help="run a sharded fleet: N serve workers behind a "
         "consistent-hash router, restarted on crash",
     )
@@ -311,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal-dir", required=True,
         help="fleet root: each worker gets <wal-dir>/shard-XX",
     )
-    p_fleet.add_argument("--host", default="127.0.0.1")
     p_fleet.add_argument(
         "--port", type=_port_int, default=7070,
         help="router front port (0 = ephemeral)",
@@ -323,26 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument(
         "--tenants", type=int, default=0,
         help="route key = id %% tenants (0 = raw job ids)",
-    )
-    p_fleet.add_argument(
-        "--algorithm", default="first-fit", choices=sorted(ALGORITHM_REGISTRY)
-    )
-    p_fleet.add_argument("--capacity", type=float, default=1.0)
-    p_fleet.add_argument(
-        "--reference", action="store_true",
-        help="disable the adaptive first-fit index in every worker",
-    )
-    p_fleet.add_argument(
-        "--fsync", default="interval", choices=["never", "interval", "always"],
-        help="workers' WAL fsync policy (default: interval)",
-    )
-    p_fleet.add_argument(
-        "--fsync-interval", type=_positive_int, default=512,
-        help="records between fsyncs for --fsync interval (default 512)",
-    )
-    p_fleet.add_argument(
-        "--checkpoint-interval", type=_positive_int, default=1000,
-        help="WAL records between automatic checkpoints (default 1000)",
     )
     p_fleet.add_argument(
         "--fault-plan", action="append", default=None, metavar="SHARD=PATH",
@@ -391,20 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shard_unavailable immediately (failfast, the default) or park "
         "them until the breaker closes (queue)",
     )
-    p_fleet.add_argument(
-        "--defrag", type=int, default=0, metavar="BUDGET",
-        help="per-shard background defragmenter budget (default 0 = off)",
-    )
-    p_fleet.add_argument(
-        "--defrag-interval", type=float, default=0.5, metavar="SECONDS",
-        help="seconds between defragmenter passes (default 0.5)",
-    )
-    p_fleet.add_argument(
-        "--uvloop", action="store_true",
-        help="use the uvloop event loop if installed (warns and falls "
-        "back to asyncio otherwise)",
-    )
-    p_fleet.add_argument("--quiet", action="store_true")
 
     p_wal = sub.add_parser(
         "wal", help="offline write-ahead-log maintenance tools"

@@ -18,11 +18,13 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
-from ..core.events import EventKind, event_sequence
+from ..algorithms.first_fit import FirstFit
+from ..core.bins import CAPACITY_EPS, Bin
+from ..core.driver import run_events
 from ..core.intervals import Interval
 from ..core.items import Item, ItemList
+from ..core.state import PackingState
 from .billing import BillingPolicy, ContinuousBilling
 from .server import InstanceType
 
@@ -37,8 +39,6 @@ __all__ = [
     "FleetDispatcher",
 ]
 
-_EPS = 1e-9
-
 #: A small realistic catalogue: price grows slightly sublinearly with
 #: capacity (volume discount), so neither extreme trivially wins.
 DEFAULT_FLEET_CATALOGUE: tuple[InstanceType, ...] = (
@@ -49,41 +49,23 @@ DEFAULT_FLEET_CATALOGUE: tuple[InstanceType, ...] = (
 
 
 @dataclass
-class FleetServer:
-    """One rented server of a concrete type."""
+class FleetServer(Bin):
+    """One rented server of a concrete type: a bin of that type's capacity."""
 
-    server_id: int
-    instance_type: InstanceType
-    opened_at: float
-    closed_at: Optional[float] = None
-    level: float = 0.0
-    active: dict[int, Item] = field(default_factory=dict)
-    jobs: list[int] = field(default_factory=list)
+    instance_type: InstanceType = field(kw_only=True)
 
     @property
-    def is_open(self) -> bool:
-        return self.closed_at is None
+    def server_id(self) -> int:
+        return self.index
 
-    def fits(self, item: Item) -> bool:
-        return self.level + item.size <= self.instance_type.capacity + _EPS
-
-    def place(self, item: Item) -> None:
-        self.active[item.item_id] = item
-        self.jobs.append(item.item_id)
-        self.level += item.size
-
-    def remove(self, item: Item, now: float) -> None:
-        del self.active[item.item_id]
-        self.level -= item.size
-        if not self.active:
-            self.level = 0.0
-            self.closed_at = now
+    @property
+    def jobs(self) -> list[int]:
+        """Ids of the jobs served, in placement order."""
+        return [it.item_id for it in self.all_items]
 
     @property
     def usage(self) -> Interval:
-        if self.closed_at is None:
-            raise ValueError(f"server {self.server_id} still open")
-        return Interval(self.opened_at, self.closed_at)
+        return self.usage_period
 
 
 class LaunchPolicy(abc.ABC):
@@ -101,7 +83,7 @@ class LaunchPolicy(abc.ABC):
     def feasible(
         catalogue: tuple[InstanceType, ...], item: Item
     ) -> list[InstanceType]:
-        out = [t for t in catalogue if t.capacity >= item.size - _EPS]
+        out = [t for t in catalogue if t.capacity >= item.size - CAPACITY_EPS]
         if not out:
             raise ValueError(
                 f"no instance type can host a job of size {item.size}"
@@ -196,35 +178,14 @@ class FleetDispatcher:
     def dispatch(self, jobs: ItemList) -> FleetReport:
         max_cap = max(t.capacity for t in self.catalogue)
         for it in jobs:
-            if it.size > max_cap + _EPS:
+            if it.size > max_cap + CAPACITY_EPS:
                 raise ValueError(
                     f"job {it.item_id} (size {it.size}) exceeds the largest "
                     f"instance capacity {max_cap}"
                 )
-        servers: list[FleetServer] = []
-        open_servers: list[FleetServer] = []
-        where: dict[int, FleetServer] = {}
-        for event in event_sequence(jobs):
-            if event.kind is EventKind.ARRIVE:
-                item = event.item
-                target = next((s for s in open_servers if s.fits(item)), None)
-                if target is None:
-                    itype = self.launch_policy.choose_type(self.catalogue, item)
-                    target = FleetServer(
-                        server_id=len(servers),
-                        instance_type=itype,
-                        opened_at=event.time,
-                    )
-                    servers.append(target)
-                    open_servers.append(target)
-                target.place(item)
-                where[item.item_id] = target
-            else:
-                s = where[event.item.item_id]
-                s.remove(event.item, event.time)
-                if not s.is_open:
-                    open_servers.remove(s)
-        assert not open_servers, "all servers must close after the last departure"
+        state = _FleetState(self.catalogue, self.launch_policy)
+        run_events(jobs, FirstFit(), state)
+        servers = state.bins
         costs = tuple(
             self.billing.billed_time(s.usage) * s.instance_type.hourly_price
             for s in servers
@@ -235,3 +196,35 @@ class FleetDispatcher:
             launch_policy=self.launch_policy.name,
             costs=costs,
         )
+
+
+class _FleetState(PackingState):
+    """The scalar state with a per-server capacity chosen at launch.
+
+    Runs on the reference scans (``indexed=False``): the first-fit index
+    compares every bin against one shared capacity bound.
+    """
+
+    def __init__(
+        self, catalogue: tuple[InstanceType, ...], launch_policy: LaunchPolicy
+    ):
+        super().__init__(indexed=False)
+        self.catalogue = catalogue
+        self.launch_policy = launch_policy
+
+    def place(self, item: Item, target: FleetServer | None) -> FleetServer:
+        if target is None:
+            # rent a server of the policy's type, then place as into any open bin
+            itype = self.launch_policy.choose_type(self.catalogue, item)
+            target = FleetServer(
+                index=len(self.bins), capacity=itype.capacity, instance_type=itype
+            )
+            self.bins.append(target)
+            self._open[target.index] = target
+        return super().place(item, target)
+
+    def first_fit_bin(self, size: float) -> FleetServer | None:
+        for b in self._open.values():
+            if b.level + size <= b.capacity + CAPACITY_EPS:
+                return b
+        return None

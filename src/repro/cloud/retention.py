@@ -29,13 +29,17 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from ..core.events import EventKind, event_sequence
+from ..algorithms.first_fit import FirstFit
+from ..core.bins import Bin
+from ..core.driver import EventStepper
+from ..core.events import event_tuples
 from ..core.intervals import Interval
 from ..core.items import Item, ItemList
+from ..core.state import PackingState
 from .billing import BillingPolicy, ContinuousBilling
 from .server import InstanceType
 
@@ -49,6 +53,8 @@ __all__ = [
     "RetentionDispatcher",
 ]
 
+#: hold-expiry slack (a time): a hold ending this close before an
+#: arrival still serves it
 _EPS = 1e-9
 
 
@@ -115,38 +121,36 @@ class BilledHourBoundary(RetentionPolicy):
 
 
 @dataclass
-class RetainedServer:
-    """A server whose rental may span several busy episodes."""
+class RetainedServer(Bin):
+    """A server whose rental may span several busy episodes.
 
-    server_id: int
-    opened_at: float
-    level: float = 0.0
-    active: dict[int, Item] = field(default_factory=dict)
-    jobs: list[int] = field(default_factory=list)
-    #: None while busy; while warm, the time the hold expires
+    The bin stays open while warm (empty but still rented) and closes
+    when its hold ends, so its usage period is the rental.
+    """
+
+    #: while warm, the time the hold ends; None while busy or released
     warm_until: Optional[float] = None
-    released_at: Optional[float] = None
 
     @property
-    def is_busy(self) -> bool:
-        return self.released_at is None and bool(self.active)
+    def released_at(self) -> Optional[float]:
+        return self.closed_at
 
     @property
-    def is_warm(self) -> bool:
-        return self.released_at is None and not self.active and self.warm_until is not None
-
-    def available_at(self, t: float, size: float, capacity: float) -> bool:
-        if self.released_at is not None:
-            return False
-        if self.is_warm and self.warm_until < t - _EPS:
-            return False  # hold expired (release is applied lazily)
-        return self.level + size <= capacity + _EPS
+    def jobs(self) -> list[int]:
+        """Ids of the jobs served, in placement order."""
+        return [it.item_id for it in self.all_items]
 
     @property
     def rental(self) -> Interval:
-        if self.released_at is None:
-            raise ValueError(f"server {self.server_id} not released")
-        return Interval(self.opened_at, self.released_at)
+        return self.usage_period
+
+    def remove(self, item: Item, now: float) -> None:
+        """Remove a departing job; an emptied server stays open (warm)."""
+        del self.active_items[item.item_id]
+        self.level -= item.size
+        if not self.active_items:
+            self.level = 0.0  # snap float residue to exact zero
+        self.level_history.append((now, self.level))
 
 
 @dataclass(frozen=True)
@@ -193,56 +197,18 @@ class RetentionDispatcher:
         self.instance_type = instance_type
 
     def dispatch(self, jobs: ItemList) -> RetentionReport:
-        capacity = self.instance_type.capacity
-        servers: list[RetainedServer] = []
-        where: dict[int, RetainedServer] = {}
-        reuses = 0
-
-        def release_expired(now: float) -> None:
-            for s in servers:
-                if s.is_warm and s.warm_until < now - _EPS:
-                    s.released_at = s.warm_until
-                    s.warm_until = None
-
-        for event in event_sequence(jobs):
-            release_expired(event.time)
-            if event.kind is EventKind.ARRIVE:
-                item = event.item
-                target = next(
-                    (
-                        s
-                        for s in servers
-                        if s.available_at(event.time, item.size, capacity)
-                    ),
-                    None,
-                )
-                if target is None:
-                    target = RetainedServer(
-                        server_id=len(servers), opened_at=event.time
-                    )
-                    servers.append(target)
-                elif target.is_warm:
-                    reuses += 1
-                target.warm_until = None
-                target.active[item.item_id] = item
-                target.jobs.append(item.item_id)
-                target.level += item.size
-                where[item.item_id] = target
+        state = _RetentionState(self.instance_type.capacity, self.retention)
+        stepper = EventStepper(FirstFit(), state)
+        for time, kind, seq, item in event_tuples(jobs):
+            state.release_expired(time)
+            if kind:  # EventKind.ARRIVE
+                stepper.arrive(time, seq, item)
             else:
-                s = where[event.item.item_id]
-                del s.active[event.item.item_id]
-                s.level -= event.item.size
-                if not s.active:
-                    s.level = 0.0
-                    s.warm_until = self.retention.hold_until(
-                        s.opened_at, event.time
-                    )
+                stepper.depart(time, seq, item)
         # simulation over: every warm server is charged to its hold end
-        for s in servers:
-            if s.released_at is None:
-                s.released_at = s.warm_until if s.warm_until is not None else 0.0
-                s.warm_until = None
-
+        state.release_expired(math.inf)
+        stepper.finish()
+        servers = state.bins
         costs = tuple(
             self.billing.billed_time(s.rental) * self.instance_type.hourly_price
             for s in servers
@@ -253,5 +219,60 @@ class RetentionDispatcher:
             billing_name=type(self.billing).__name__,
             costs=costs,
         )
-        object.__setattr__(report, "_reuses", reuses)
+        object.__setattr__(report, "_reuses", state.reuses)
         return report
+
+
+class _RetentionState(PackingState):
+    """The scalar state with warm holds.
+
+    A bin that empties stays open until ``retention.hold_until`` and is
+    then closed at that time; a hold that ends by the emptying time
+    closes the bin at once, exactly as in the paper.  Runs on the
+    reference scans (``indexed=False``): holds close bins out of band.
+    """
+
+    def __init__(self, capacity: float, retention: RetentionPolicy):
+        super().__init__(capacity=capacity, indexed=False)
+        self.retention = retention
+        #: jobs placed on a warm server
+        self.reuses = 0
+
+    def _new_bin(self) -> RetainedServer:
+        b = RetainedServer(index=len(self.bins), capacity=self.capacity)
+        self.bins.append(b)
+        self._open[b.index] = b
+        return b
+
+    def place(self, item: Item, target: RetainedServer | None) -> RetainedServer:
+        if target is not None and target.warm_until is not None:
+            self.reuses += 1
+            target.warm_until = None
+        return super().place(item, target)
+
+    def depart(self, item: Item) -> RetainedServer:
+        b = super().depart(item)
+        if not b.active_items:
+            hold = self.retention.hold_until(b.opened_at, self.now)
+            if hold <= self.now:
+                self._release(b, self.now)
+            else:
+                b.warm_until = hold
+        return b
+
+    def release_expired(self, now: float) -> None:
+        """Close every warm bin whose hold ended before ``now``."""
+        expired = [
+            b
+            for b in self._open.values()
+            if b.warm_until is not None and b.warm_until < now - _EPS
+        ]
+        for b in expired:
+            self._release(b, b.warm_until)
+
+    def _release(self, b: RetainedServer, at: float) -> None:
+        b.warm_until = None
+        b.closed_at = at
+        del self._open[b.index]
+        if not self._open:
+            self._reset_total()

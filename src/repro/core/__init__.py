@@ -10,7 +10,7 @@ from .engine import (
     UtilizationCollector,
     simulate,
 )
-from .events import Event, EventKind, EventQueue, event_sequence
+from .events import Event, EventKind, event_sequence
 from .intervals import (
     EMPTY_INTERVAL,
     Interval,
@@ -45,7 +45,6 @@ __all__ = [
     "EMPTY_INTERVAL",
     "Event",
     "EventKind",
-    "EventQueue",
     "Interval",
     "Item",
     "ItemList",

@@ -1,10 +1,16 @@
 """The resource-agnostic event driver shared by every packing engine.
 
-:func:`run_events` is the *single* event loop of the repository: the
-scalar 1-D engine (:func:`repro.core.packing.run_packing`) and the
-multi-dimensional engine (:func:`repro.multidim.packing.run_vector_packing`)
-are thin wrappers that build an instance-specific state and hand it to
-this loop.  The driver — not the algorithm and not the wrapper — owns
+Every placement in the repository goes through :func:`run_events` or
+its one-event-at-a-time form, :class:`EventStepper`.  The scalar 1-D
+engine (:func:`repro.core.packing.run_packing`), the multi-dimensional
+engine (:func:`repro.multidim.packing.run_vector_packing`) and the
+heterogeneous fleet (:class:`repro.cloud.fleet.FleetDispatcher`) hand a
+state to :func:`run_events`; the streaming service, the snapshot
+generator :func:`repro.core.engine.simulate`, deferred dispatch
+(:func:`repro.deferral.engine.run_deferred_first_fit`) and warm-server
+retention (:class:`repro.cloud.retention.RetentionDispatcher`), which
+interleave their own work between events, drive the stepper.  The
+driver — not the algorithm and not the wrapper — owns
 correctness: it streams events in the canonical order (time-ordered,
 departures before arrivals at ties, instance order within a kind, as
 C-sorted tuples), validates every placement against the chosen bin's
@@ -113,10 +119,13 @@ class EventStepper:
     same observer dispatch (pinned by
     ``tests/service/test_stream_differential.py``).
 
-    :func:`run_events` keeps its own inlined copy of these bodies — the
-    batch loop is the throughput baseline and must not pay a method
-    call per event — but both are built on :func:`bind_policy`, and any
-    behavioural edit to one must land in the other.
+    :func:`run_events` keeps its own inlined copy of these bodies: a
+    :func:`run_events` that called :meth:`arrive`/:meth:`depart` per
+    event cost a median 1.036x the inlined loop's CPU on a
+    ~165-open-bin First Fit instance, slower in 75 of 120 alternating
+    in-process pairs (2-vCPU Intel Xeon VM, CPython 3.11).  Both are
+    built on :func:`bind_policy` and :func:`check_move`; the stream
+    differential pins them to each other.
 
     ``fault_hook`` is the chaos-testing seam: when set (by the fault
     injection harness, :mod:`repro.service.faults`), it is called with

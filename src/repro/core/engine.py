@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING, Iterator, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..algorithms.base import PackingAlgorithm
 
-from .events import Event, EventKind, event_sequence
+from .driver import EventStepper
+from .events import Event, EventKind, event_tuples
 from .items import ItemList
 from .state import PackingState
 
@@ -52,35 +53,30 @@ def simulate(
 ) -> Iterator[Snapshot]:
     """Yield a :class:`Snapshot` after every applied event.
 
-    The generator drives the same logic as
-    :func:`repro.core.packing.run_packing`; exhausting it leaves all
-    bins closed.  (For the final `PackingResult`, use ``run_packing`` —
-    this API is for streaming consumers.)  Snapshots read the state's
+    The generator applies the events :func:`repro.core.packing.run_packing`
+    applies, through the driver's :class:`~repro.core.driver.EventStepper`
+    (placement validation and planned migrations included); exhausting
+    it leaves all bins closed.  (For the final `PackingResult`, use
+    ``run_packing`` — this API is for streaming consumers.)  Snapshots
+    read the state's
     incrementally maintained :attr:`~PackingState.total_level`, so each
     one is O(1) instead of a re-sum over all open bins.
     """
-    algorithm.reset()
     state = PackingState(capacity=items.capacity, indexed=indexed)
-    clairvoyant = getattr(algorithm, "clairvoyant", False)
-    for event in event_sequence(items):
-        state.now = event.time
-        if event.kind is EventKind.ARRIVE:
-            if clairvoyant:
-                target = algorithm.choose_bin_clairvoyant(state, event.item)
-            else:
-                target = algorithm.choose_bin(state, event.item.size)
-            placed = state.place(event.item, target)
-            algorithm.on_placed(state, placed, event.item.size)
+    stepper = EventStepper(algorithm, state)
+    for time, kind, seq, item in event_tuples(items):
+        if kind:  # EventKind.ARRIVE
+            stepper.arrive(time, seq, item)
         else:
-            source = state.depart(event.item)
-            algorithm.on_departed(state, source)
+            stepper.depart(time, seq, item)
         yield Snapshot(
-            time=event.time,
-            event=event,
+            time=time,
+            event=Event(time, EventKind(kind), seq, item),
             num_open_bins=state.num_open,
             num_bins_used=state.num_bins_used,
             total_level=state.total_level,
         )
+    stepper.finish()
 
 
 class Collector:

@@ -22,13 +22,12 @@ Ordering rules (these are load-bearing and pinned by tests):
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .items import Item, ItemList
 
-__all__ = ["EventKind", "Event", "event_sequence", "event_tuples", "EventQueue"]
+__all__ = ["EventKind", "Event", "event_sequence", "event_tuples"]
 
 
 class EventKind(enum.IntEnum):
@@ -93,36 +92,3 @@ def event_tuples(
         append((it.departure, 0, seq, it))
     events.sort()
     return events
-
-
-class EventQueue:
-    """A mutable priority queue of events.
-
-    Supports dynamic insertion, which the cloud layer uses for
-    closed-loop workloads where an item's departure is only scheduled
-    when it is placed.
-    """
-
-    def __init__(self, events: Iterable[Event] = ()):  # noqa: D401
-        self._heap: list[Event] = list(events)
-        heapq.heapify(self._heap)
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
-
-    def pop(self) -> Event:
-        return heapq.heappop(self._heap)
-
-    def peek(self) -> Event:
-        return self._heap[0]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def drain(self) -> Iterator[Event]:
-        """Pop events in order until empty."""
-        while self._heap:
-            yield heapq.heappop(self._heap)

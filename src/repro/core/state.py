@@ -7,15 +7,13 @@ Two classes live here:
   O(1) and iteration order is opening order), the item→bin map, index
   activation, and the generic ``place``/``depart``/``migrate`` mutations
   written against the resource protocol (``bin.level`` / ``item.size`` may be a
-  float or a tuple — see ``docs/ARCHITECTURE.md``).  The vector engine's
-  :class:`~repro.multidim.state.VectorPackingState` runs on these
-  generic mutations directly.
-- :class:`PackingState` — the scalar (1-D) state.  It inherits the
-  lifecycle and views from the base and *overrides* ``place``/``depart``
-  with flattened float-specialised bodies (no accounting indirection),
-  because the scalar engine is the throughput baseline every PR is
-  measured against.  The overrides are behaviourally identical to the
-  generic versions; the differential tests pin both engines.
+  float or a tuple — see ``docs/ARCHITECTURE.md``).  Every state runs on
+  these generic mutations.
+- :class:`PackingState` — the scalar (1-D) state: float accounting, the
+  scalar first-fit index and the Any-Fit selection queries.  It has no
+  mutation bodies of its own; flattened float copies were measured
+  against the generic ones and won nothing the measurement could
+  resolve (``docs/ARCHITECTURE.md``).
 
 :class:`PackingState` is the *only* view of the world an online algorithm
 gets: the currently open bins (in opening order) and their levels.  It
@@ -49,7 +47,6 @@ from typing import Optional
 
 from .bins import Bin, CAPACITY_EPS
 from .ffindex import FirstFitIndex
-from .items import Item
 
 __all__ = ["BasePackingState", "PackingState", "INDEX_THRESHOLD"]
 
@@ -247,9 +244,8 @@ class BasePackingState:
 class PackingState(BasePackingState):
     """The scalar (1-D float resource) packing state.
 
-    The ``place``/``depart`` overrides below flatten the base class's
-    generic mutations for the hot path: accounting is a single in-line
-    float add and the index is the scalar
+    Binds the base class's generic mutations to a float level, a running
+    float :attr:`total_level` and the scalar
     :class:`~repro.core.ffindex.FirstFitIndex`.
     """
 
@@ -331,74 +327,3 @@ class PackingState(BasePackingState):
                 if worst is None or b.level < worst.level:
                     worst = b
         return worst
-
-    def bin_of(self, item_id: int) -> Bin:
-        """The bin an item was placed in (open or closed)."""
-        return self.bins[self.item_bin[item_id]]
-
-    # -- mutations (driver only; flattened scalar hot path) -------------------
-    def place(self, item: Item, target: Optional[Bin]) -> Bin:
-        """Place an arriving item into ``target`` (or a new bin if None)."""
-        fresh = target is None
-        if fresh:
-            target = self._new_bin()
-        elif target.closed_at is not None:
-            raise ValueError(f"cannot place into closed bin {target.index}")
-        before = target.level
-        target.place(item, self.now)
-        self.total_level += target.level - before
-        index = self._index
-        if index is not None:
-            if fresh:
-                # register the bin at its post-placement level: one
-                # O(log n) bubble instead of an append + set_level pair
-                index.append(target.index, target.level)
-            else:
-                index.set_level(target.index, target.level)
-        elif self.indexed and len(self._open) >= INDEX_THRESHOLD:
-            self._activate_index()
-        self.item_bin[item.item_id] = target.index
-        return target
-
-    def depart(self, item: Item) -> Bin:
-        """Process an item departure; closes the bin if it empties."""
-        b = self.bin_of(item.item_id)
-        before = b.level
-        b.remove(item, self.now)
-        self.total_level += b.level - before
-        if b.is_closed:
-            del self._open[b.index]
-            if self._index is not None:
-                self._index.close(b.index)
-            if not self._open:
-                self.total_level = 0.0  # snap float residue to exact zero
-        elif self._index is not None:
-            self._index.set_level(b.index, b.level)
-        return b
-
-    def migrate(self, item: Item, target: Bin) -> Bin:
-        """Move a still-active item into ``target`` (flattened scalar body)."""
-        if target.closed_at is not None:
-            raise ValueError(f"cannot migrate into closed bin {target.index}")
-        src = self.bins[self.item_bin[item.item_id]]
-        if src is target:
-            raise ValueError(
-                f"cannot migrate item {item.item_id} into its own bin {src.index}"
-            )
-        before = src.level
-        src.remove(item, self.now)
-        self.total_level += src.level - before
-        before = target.level
-        target.place(item, self.now)
-        self.total_level += target.level - before
-        self.item_bin[item.item_id] = target.index
-        index = self._index
-        if src.is_closed:
-            del self._open[src.index]
-            if index is not None:
-                index.close(src.index)
-        elif index is not None:
-            index.set_level(src.index, src.level)
-        if index is not None:
-            index.set_level(target.index, target.level)
-        return src

@@ -26,12 +26,15 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+from ..algorithms.first_fit import FirstFit
+from ..core.driver import EventStepper
 from ..core.items import Item, ItemList
 from ..core.result import PackingResult
 from ..core.state import PackingState
 
 __all__ = ["DeferralResult", "run_deferred_first_fit"]
 
+#: a wait shorter than this (a time, not a capacity) counts as no delay
 _EPS = 1e-9
 
 # event kinds, ordered: departures free capacity first, then deadlines
@@ -80,6 +83,7 @@ def run_deferred_first_fit(
         jobs = ItemList(jobs, capacity=capacity)
 
     state = PackingState(capacity=capacity)
+    stepper = EventStepper(FirstFit(), state)
     counter = itertools.count()
     heap: list[tuple[float, int, int, object]] = []
     for it in jobs:
@@ -90,12 +94,10 @@ def run_deferred_first_fit(
     waits: dict[int, float] = {}
 
     def try_place(original: Item, now: float, force: bool) -> bool:
-        fitting = state.open_bins_fitting(original.size)
-        if not fitting and not force:
+        if not force and state.first_fit_bin(original.size) is None:
             return False
-        target = fitting[0] if fitting else None
         shifted = Item(original.item_id, original.size, now, now + original.duration)
-        placed = state.place(shifted, target)
+        stepper.arrive(now, original.item_id, shifted)
         placed_items[original.item_id] = shifted
         waits[original.item_id] = now - original.arrival
         heapq.heappush(
@@ -121,9 +123,8 @@ def run_deferred_first_fit(
 
     while heap:
         time, kind, _seq, payload = heapq.heappop(heap)
-        state.now = time
         if kind == _DEPART:
-            state.depart(payload)
+            stepper.depart(time, payload.item_id, payload)
             drain_queue(time)
         elif kind == _ARRIVE:
             item = payload
@@ -146,7 +147,7 @@ def run_deferred_first_fit(
                 try_place(item, time, force=True)
                 drain_queue(time)
 
-    assert state.num_open == 0
+    stepper.finish()
     shifted_list = ItemList(
         (placed_items[it.item_id] for it in jobs), capacity=capacity
     )

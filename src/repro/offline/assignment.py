@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..core.bins import CAPACITY_EPS
 from ..core.intervals import merge_intervals, union_length
 from ..core.items import Item, ItemList
 
@@ -36,8 +37,6 @@ __all__ = [
     "marginal_cost",
     "max_level",
 ]
-
-_EPS = 1e-9
 
 
 def max_level(items: Iterable[Item]) -> float:
@@ -56,7 +55,7 @@ def max_level(items: Iterable[Item]) -> float:
 
 def group_feasible(items: Sequence[Item], capacity: float = 1.0) -> bool:
     """Whether a group of items can share one server at all times."""
-    return max_level(items) <= capacity + _EPS
+    return max_level(items) <= capacity + CAPACITY_EPS
 
 
 def group_cost(items: Sequence[Item]) -> float:
@@ -99,7 +98,7 @@ class Assignment:
             raise ValueError("assignment does not cover the instance")
         for i, g in enumerate(self.groups):
             peak = max_level(g)
-            if peak > self.items.capacity + _EPS:
+            if peak > self.items.capacity + CAPACITY_EPS:
                 raise ValueError(
                     f"group {i} peaks at level {peak} > capacity {self.items.capacity}"
                 )

@@ -23,6 +23,7 @@ from .assignment import Assignment, group_feasible, marginal_cost
 
 __all__ = ["exact_offline", "greedy_offline", "local_search"]
 
+#: cost tolerance: an improvement smaller than this is no improvement
 _EPS = 1e-9
 
 

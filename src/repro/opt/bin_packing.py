@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..core.bins import CAPACITY_EPS
+
 __all__ = [
     "first_fit_decreasing",
     "first_fit_static",
@@ -29,18 +31,16 @@ __all__ = [
     "BinCountBracket",
 ]
 
-_EPS = 1e-9
-
 
 def first_fit_static(sizes: Sequence[float], capacity: float = 1.0) -> list[list[int]]:
     """Static First Fit: pack sizes in given order; returns bins of indices."""
     bins: list[list[int]] = []
     levels: list[float] = []
     for i, s in enumerate(sizes):
-        if s > capacity + _EPS:
+        if s > capacity + CAPACITY_EPS:
             raise ValueError(f"size {s} exceeds capacity {capacity}")
         for k, lvl in enumerate(levels):
-            if lvl + s <= capacity + _EPS:
+            if lvl + s <= capacity + CAPACITY_EPS:
                 bins[k].append(i)
                 levels[k] += s
                 break
@@ -63,7 +63,7 @@ def first_fit_decreasing(sizes: Sequence[float], capacity: float = 1.0) -> int:
 def lower_bound_l1(sizes: Sequence[float], capacity: float = 1.0) -> int:
     """``L1 = ⌈Σ sizes / capacity⌉`` — the fractional (area) bound."""
     total = sum(sizes)
-    if total <= _EPS:
+    if total <= CAPACITY_EPS:
         return 0
     # guard against float round-up on exact multiples, e.g. 10 × 0.1
     ratio = total / capacity
@@ -90,15 +90,19 @@ def lower_bound_l2(sizes: Sequence[float], capacity: float = 1.0) -> int:
     half = capacity / 2.0
     # candidate thresholds: α → 0 (counts the mutually-conflicting items
     # above C/2 with no small-item credit) plus every distinct size ≤ C/2
-    alphas = [0.0] + sorted({s for s in xs if s <= half + _EPS})
+    alphas = [0.0] + sorted({s for s in xs if s <= half + CAPACITY_EPS})
     for alpha in alphas:
-        n1 = sum(1 for s in xs if s > capacity - alpha + _EPS)
-        mid = [s for s in xs if half + _EPS < s <= capacity - alpha + _EPS]
+        n1 = sum(1 for s in xs if s > capacity - alpha + CAPACITY_EPS)
+        mid = [
+            s for s in xs if half + CAPACITY_EPS < s <= capacity - alpha + CAPACITY_EPS
+        ]
         n2 = len(mid)
-        small_total = sum(s for s in xs if alpha - _EPS <= s <= half + _EPS)
+        small_total = sum(
+            s for s in xs if alpha - CAPACITY_EPS <= s <= half + CAPACITY_EPS
+        )
         headroom = n2 * capacity - sum(mid)
         extra = small_total - headroom
-        if extra > _EPS:
+        if extra > CAPACITY_EPS:
             ratio = extra / capacity
             nearest = round(ratio)
             add = int(nearest) if abs(ratio - nearest) < 1e-7 else int(math.ceil(ratio))
@@ -139,11 +143,11 @@ def exact_bin_count(
     If the node budget is exhausted, returns the best certified bracket
     found so far instead of an exact value.
     """
-    xs = sorted((s for s in sizes if s > _EPS), reverse=True)
+    xs = sorted((s for s in sizes if s > CAPACITY_EPS), reverse=True)
     n = len(xs)
     if n == 0:
         return BinCountBracket(0, 0)
-    if any(s > capacity + _EPS for s in xs):
+    if any(s > capacity + CAPACITY_EPS for s in xs):
         raise ValueError("an item exceeds bin capacity")
 
     lb = lower_bound_l2(xs, capacity)
@@ -173,14 +177,14 @@ def exact_bin_count(
         # bound: bins so far + fractional need for the rest in current headroom
         free = sum(capacity - l for l in levels)
         need = suffix_total[i] - free
-        extra = 0 if need <= _EPS else int(math.ceil(need / capacity - 1e-9))
+        extra = 0 if need <= CAPACITY_EPS else int(math.ceil(need / capacity - 1e-9))
         if len(levels) + extra >= best:
             return
         s = xs[i]
         seen_levels: set[float] = set()
         for k in range(len(levels)):
             lvl = levels[k]
-            if lvl + s <= capacity + _EPS:
+            if lvl + s <= capacity + CAPACITY_EPS:
                 key = round(lvl, 9)
                 if key in seen_levels:
                     continue  # symmetric bin

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 
+from ..core.bins import CAPACITY_EPS
 from ..core.items import ItemList
 
 __all__ = [
@@ -31,8 +32,6 @@ __all__ = [
     "fractional_ceiling_bound",
     "combined_lower_bound",
 ]
-
-_EPS = 1e-9
 
 
 def prop1_time_space_bound(items: ItemList) -> float:
@@ -64,7 +63,7 @@ def fractional_ceiling_bound(items: ItemList) -> float:
     level = 0.0
     for t0, t1 in zip(times[:-1], times[1:]):
         level += deltas.get(t0, 0.0)
-        if level > _EPS:
+        if level > CAPACITY_EPS:
             ratio = level / items.capacity
             nearest = round(ratio)
             bins = int(nearest) if abs(ratio - nearest) < 1e-7 else int(math.ceil(ratio))

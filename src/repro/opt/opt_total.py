@@ -34,6 +34,7 @@ from .lower_bounds import (
 
 __all__ = ["OptTotalBracket", "opt_total", "opt_at_times", "competitive_ratio_bracket"]
 
+#: event-time tolerance for the sweep over arrivals and departures
 _EPS = 1e-9
 
 

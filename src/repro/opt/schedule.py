@@ -26,12 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ..core.bins import CAPACITY_EPS
 from ..core.items import Item, ItemList
 from .bin_packing import exact_bin_count, first_fit_static
 
 __all__ = ["RepackingSchedule", "build_repacking_schedule"]
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ def _exact_assignment(items: list[Item], capacity: float, target: int, node_budg
         it = order[i]
         seen: set[float] = set()
         for k in range(len(bins)):
-            if levels[k] + it.size <= capacity + _EPS:
+            if levels[k] + it.size <= capacity + CAPACITY_EPS:
                 key = round(levels[k], 9)
                 if key in seen:
                     continue

@@ -1,7 +1,9 @@
 """Tests for warm-server retention."""
 
 import pytest
+from hypothesis import example, given, settings
 
+from repro.algorithms import FirstFit
 from repro.cloud.billing import ContinuousBilling, HourlyBilling
 from repro.cloud.retention import (
     BilledHourBoundary,
@@ -10,7 +12,10 @@ from repro.cloud.retention import (
     RetentionDispatcher,
 )
 from repro.core.items import Item, ItemList
+from repro.core.packing import run_packing
 from repro.workloads.gaming import gaming_workload
+
+from ..conftest import item_lists
 
 
 def jobs(*tuples):
@@ -51,6 +56,22 @@ class TestRetentionDispatcher:
         assert rep.num_servers == ff.num_bins
         assert rep.total_rented_time == pytest.approx(ff.total_usage_time)
         assert rep.num_reuses == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(items=item_lists())
+    # a server that empties just as a job arrives closes first (half-open
+    # intervals), so the job rents a new one, as First Fit opens a new bin
+    @example(items=jobs((0.5, 0.0, 1.0), (0.5, 1.0, 2.0)))
+    def test_zero_hold_reproduces_first_fit(self, items):
+        """A hold that ends when the server empties is the paper's closing."""
+        ff = run_packing(items, FirstFit())
+        for policy in (NoRetention(), FixedCooldown(0.0)):
+            rep = RetentionDispatcher(policy).dispatch(items)
+            assert rep.num_servers == ff.num_bins
+            assert [s.rental for s in rep.servers] == [
+                b.usage_period for b in ff.bins
+            ]
+            assert rep.num_reuses == 0
 
     def test_warm_server_reused(self):
         # job 0 ends at 1; job 1 arrives at 1.2, inside the cooldown

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms import FirstFit, NextFit
+from repro.algorithms.migration import BudgetedRepack
 from repro.core.engine import (
     OpenBinsCollector,
     PlacementLogCollector,
@@ -33,6 +34,18 @@ class TestSimulate:
         batch = run_packing(items, FirstFit())
         assert snaps[-1].num_bins_used == batch.num_bins
         assert snaps[-1].num_open_bins == 0
+
+    def test_migrations_match_batch_driver_per_event(self):
+        """simulate applies a policy's planned moves, as run_packing does."""
+        items = poisson_workload(300, seed=4, arrival_rate=4, mu_target=8)
+        batch = []
+        run_packing(
+            items,
+            BudgetedRepack(budget=2),
+            observers=[lambda e, st: batch.append((st.num_open, st.num_bins_used))],
+        )
+        snaps = simulate(items, BudgetedRepack(budget=2))
+        assert [(s.num_open_bins, s.num_bins_used) for s in snaps] == batch
 
     def test_snapshot_times_monotone(self):
         items = poisson_workload(40, seed=3)

@@ -2,7 +2,7 @@
 
 from hypothesis import given
 
-from repro.core.events import Event, EventKind, EventQueue, event_sequence
+from repro.core.events import EventKind, event_sequence
 from repro.core.items import Item, ItemList
 
 from ..conftest import item_lists
@@ -51,39 +51,3 @@ class TestEventOrdering:
                 seen_arrival.add(e.item.item_id)
             else:
                 assert e.item.item_id in seen_arrival
-
-
-class TestEventQueue:
-    def make_events(self):
-        it = Item(0, 0.5, 0.0, 1.0)
-        return [
-            Event(3.0, EventKind.ARRIVE, 0, it),
-            Event(1.0, EventKind.DEPART, 1, it),
-            Event(1.0, EventKind.ARRIVE, 2, it),
-        ]
-
-    def test_pop_order(self):
-        q = EventQueue(self.make_events())
-        popped = [q.pop() for _ in range(3)]
-        assert [e.time for e in popped] == [1.0, 1.0, 3.0]
-        assert popped[0].kind is EventKind.DEPART
-
-    def test_dynamic_push(self):
-        q = EventQueue()
-        it = Item(0, 0.5, 0.0, 1.0)
-        q.push(Event(5.0, EventKind.ARRIVE, 0, it))
-        q.push(Event(2.0, EventKind.ARRIVE, 1, it))
-        assert q.peek().time == 2.0
-        assert len(q) == 2
-
-    def test_drain(self):
-        q = EventQueue(self.make_events())
-        drained = list(q.drain())
-        assert len(drained) == 3
-        assert not q
-
-    def test_bool(self):
-        q = EventQueue()
-        assert not q
-        q.push(Event(0.0, EventKind.ARRIVE, 0, Item(0, 0.5, 0.0, 1.0)))
-        assert q

@@ -104,24 +104,6 @@ class TestScalarMigrate:
             )
             assert via_index is scan, f"size {size}"
 
-    def test_base_class_and_scalar_override_agree(self):
-        """The flattened scalar body mirrors the generic base mutation."""
-        import repro.core.state as sm
-
-        scalar, a1, b1, c1 = self._two_bins()
-        generic = PackingState()
-        generic.now = 0.0
-        a2, b2, c2 = _item(1, 0.3), _item(2, 0.2), _item(3, 0.4)
-        generic.place(a2, None)
-        generic.place(b2, generic.bins[0])
-        generic.place(c2, None)
-        scalar.now = generic.now = 1.0
-        scalar.migrate(b1, scalar.bins[1])
-        sm.BasePackingState.migrate(generic, b2, generic.bins[1])
-        assert scalar.item_bin == generic.item_bin
-        assert [x.level for x in scalar.bins] == [x.level for x in generic.bins]
-        assert scalar.total_level == generic.total_level
-
 
 class TestVectorMigrate:
     def test_moves_item_and_closes_source(self):

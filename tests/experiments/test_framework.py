@@ -50,6 +50,10 @@ GOLDEN_CONFIGS = {
     "X7": dict(n=25, replications=3, loads=(2.0,), mus=(8.0,),
                algorithms=("first-fit", "next-fit"), node_budget=8_000),
     "F5-F6": dict(seeds=(0, 1, 2, 3), n=40),
+    # the side engines' folds onto the driver (fleet, retention, deferral)
+    "T7": dict(num_sessions=300, rates=(2.0, 8.0)),
+    "T8": dict(num_sessions=300, rates=(2.0, 8.0)),
+    "X9": dict(),
 }
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.algorithms import FirstFit
 from repro.algorithms.base import PackingAlgorithm
+from repro.core.engine import simulate
 from repro.core.items import Item, ItemList
 from repro.core.packing import run_packing
 from repro.multidim import (
@@ -87,12 +88,17 @@ class TestClosedBinPlacement:
     message is identical across engines.
     """
 
-    def test_scalar_driver_rejects_closed_bin(self):
+    @pytest.mark.parametrize(
+        "run",
+        [run_packing, lambda items, algo: list(simulate(items, algo))],
+        ids=["run_packing", "simulate"],
+    )
+    def test_scalar_driver_rejects_closed_bin(self, run):
         items = ItemList(
             [Item(0, 0.5, 0.0, 1.0), Item(1, 0.5, 2.0, 3.0)], capacity=1.0
         )
         with pytest.raises(RuntimeError) as exc:
-            run_packing(items, _ScalarClosedBinChooser())
+            run(items, _ScalarClosedBinChooser())
         assert str(exc.value) == "rogue chose closed bin 0"
 
     def test_vector_driver_rejects_closed_bin(self):

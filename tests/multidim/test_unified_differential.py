@@ -18,8 +18,9 @@ packing anywhere:
    both engines are the same driver over the same comparisons, so a
    D=1 vector instance is literally a scalar instance.
 
-Plus a structural test: :mod:`repro.multidim.packing` must contain no
-event loop of its own — the unified driver is the only one.
+Plus structural tests: :mod:`repro.multidim.packing` must contain no
+event loop of its own, and the side engines (``simulate``, deferral,
+fleet, retention) must place through the driver — it is the only one.
 """
 
 from __future__ import annotations
@@ -33,8 +34,12 @@ import pytest
 import repro.core.state as state_mod
 import repro.multidim.packing as vector_packing_mod
 from repro.algorithms import make_algorithm
+from repro.cloud.fleet import FleetDispatcher
+from repro.cloud.retention import RetentionDispatcher
+from repro.core.engine import simulate
 from repro.core.items import Item, ItemList
 from repro.core.packing import run_packing
+from repro.deferral import run_deferred_first_fit
 from repro.multidim import (
     VECTOR_REGISTRY,
     VectorItem,
@@ -163,6 +168,25 @@ def test_vector_packing_module_has_no_event_loop():
     assert "event_sequence" not in source
     assert "EventKind.ARRIVE" not in source
     assert "heapq" not in source
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        simulate,
+        run_deferred_first_fit,
+        FleetDispatcher.dispatch,
+        RetentionDispatcher.dispatch,
+    ],
+    ids=["simulate", "deferral", "fleet", "retention"],
+)
+def test_side_engines_place_through_the_driver(entry_point):
+    """The side engines hand every placement to the driver's loop or stepper."""
+    source = inspect.getsource(entry_point)
+    assert "run_events(" in source or "EventStepper(" in source
+    own_loop = ("state.place(", "state.depart(", "open_bins_fitting", "event_sequence(")
+    for needle in own_loop:
+        assert needle not in source
 
 
 def test_open_set_is_ordered_dict_with_o1_close():

@@ -33,6 +33,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["pack", "x.json", "--algorithm", "nope"])
 
+    def test_serve_and_fleet_share_server_flag_defaults(self):
+        """The flags both commands declare once parse to the same defaults."""
+        shared = {
+            "host": "127.0.0.1",
+            "algorithm": "first-fit",
+            "capacity": 1.0,
+            "reference": False,
+            "fsync": "interval",
+            "fsync_interval": 512,
+            "checkpoint_interval": 1000,
+            "defrag": 0,
+            "defrag_interval": 0.5,
+            "uvloop": False,
+            "quiet": False,
+        }
+        serve = vars(build_parser().parse_args(["serve"]))
+        fleet = vars(build_parser().parse_args(["fleet", "--wal-dir", "x"]))
+        for dest, default in shared.items():
+            assert serve[dest] == fleet[dest] == default, dest
+
 
 class TestIntOptionValidation:
     """Integer options fail fast with a clear argparse error (exit 2)."""
