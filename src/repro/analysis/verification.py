@@ -85,13 +85,13 @@ class AnalysisReport:
 def _min_level_over(b, interval: Interval) -> float:
     """Minimum recorded bin level over a half-open interval.
 
-    The level history is piecewise constant and right-continuous, so the
+    The level timeline is piecewise constant and right-continuous, so the
     minimum over ``[l, r)`` is the min of the level in force at ``l``
     and all levels set by events in ``(l, r)``.
     """
     lvl = 0.0
     mn = None
-    for t, level in b.level_history:
+    for t, level in zip(b.level_times, b.level_values):
         if t <= interval.left + 1e-12:
             lvl = level
         elif t < interval.right - 1e-12:

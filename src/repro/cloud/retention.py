@@ -150,7 +150,8 @@ class RetainedServer(Bin):
         self.level -= item.size
         if not self.active_items:
             self.level = 0.0  # snap float residue to exact zero
-        self.level_history.append((now, self.level))
+        self.level_times.append(now)
+        self.level_values.append(self.level)
 
 
 @dataclass(frozen=True)

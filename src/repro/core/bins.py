@@ -5,13 +5,19 @@ A :class:`Bin` tracks the set of active items it holds, its *level*
 ``U_k = [opened_at, closed_at)``, and a full level timeline for later
 analysis.  Capacity feasibility is enforced with a small tolerance so
 instances built from fractions like ``1/3`` pack exactly.
+
+The level timeline is kept as two parallel ``array('d')`` columns,
+``level_times`` and ``level_values`` (16 bytes per event), rather than
+one ``(time, level)`` tuple per event: every event of a run appends to
+it, so it is what a packing run keeps resident.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import partial
 from typing import Optional
 
 from .intervals import Interval
@@ -25,7 +31,7 @@ __all__ = ["Bin", "CAPACITY_EPS"]
 CAPACITY_EPS = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class Bin:
     """A unit-capacity bin / pay-as-you-go cloud server.
 
@@ -51,8 +57,10 @@ class Bin:
     active_items: dict[int, Item] = field(default_factory=dict)
     #: every item ever placed here, in placement order
     all_items: list[Item] = field(default_factory=list)
-    #: piecewise-constant level history: (time, level after the event)
-    level_history: list[tuple[float, float]] = field(default_factory=list)
+    #: piecewise-constant level timeline, one entry per event in event
+    #: order: the event's time and the level right after it
+    level_times: array = field(default_factory=partial(array, "d"))
+    level_values: array = field(default_factory=partial(array, "d"))
 
     # -- queries -------------------------------------------------------------
     @property
@@ -85,17 +93,17 @@ class Bin:
         return self.level + item.size <= self.capacity + CAPACITY_EPS
 
     def level_at(self, t: float) -> float:
-        """Bin level at time ``t`` from the recorded history.
+        """Bin level at time ``t`` from the recorded timeline.
 
-        The history is piecewise constant and right-continuous: the level
+        The timeline is piecewise constant and right-continuous: the level
         at ``t`` is the one set by the last event at time ``<= t``.
-        Returns 0 outside the usage period.  The history is ordered by
+        Returns 0 outside the usage period.  ``level_times`` is ordered by
         event time, so the lookup is a binary search, O(log events).
         """
-        idx = bisect_right(self.level_history, t, key=itemgetter(0))
+        idx = bisect_right(self.level_times, t)
         if idx == 0:
             return 0.0
-        return self.level_history[idx - 1][1]
+        return self.level_values[idx - 1]
 
     # -- mutations (called by the packing state) -----------------------------
     def place(self, item: Item, now: float) -> None:
@@ -112,7 +120,8 @@ class Bin:
         self.active_items[item.item_id] = item
         self.all_items.append(item)
         self.level += item.size
-        self.level_history.append((now, self.level))
+        self.level_times.append(now)
+        self.level_values.append(self.level)
 
     def remove(self, item: Item, now: float) -> None:
         """Remove a departing item; closes the bin if it becomes empty."""
@@ -123,4 +132,5 @@ class Bin:
         if not self.active_items:
             self.level = 0.0  # snap float residue to exact zero
             self.closed_at = now
-        self.level_history.append((now, self.level))
+        self.level_times.append(now)
+        self.level_values.append(self.level)

@@ -12,10 +12,11 @@ retention (:class:`repro.cloud.retention.RetentionDispatcher`), which
 interleave their own work between events, drive the stepper.  The
 driver — not the algorithm and not the wrapper — owns
 correctness: it streams events in the canonical order (time-ordered,
-departures before arrivals at ties, instance order within a kind, as
-C-sorted tuples), validates every placement against the chosen bin's
-lifecycle and capacity, reveals departures only when they occur, and
-dispatches observers after each applied event.
+departures before arrivals at ties, instance order within a kind,
+merged lazily by :func:`~repro.core.events.event_tuples`), validates
+every placement against the chosen bin's lifecycle and capacity,
+reveals departures only when they occur, and dispatches observers
+after each applied event.
 
 The loop is generic over the *resource type* via a small structural
 protocol (see ``docs/ARCHITECTURE.md``):

@@ -23,7 +23,7 @@ from .intervals import Interval, span as _span
 __all__ = ["Item", "ItemList", "validate_items"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Item:
     """A job to be packed: size plus active interval ``[arrival, departure)``.
 

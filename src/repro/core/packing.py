@@ -75,9 +75,11 @@ def run_packing(
 
     state = PackingState(capacity=capacity, indexed=indexed)
     run_events(items, algorithm, state, observers, hook_base=_Base)
+    # the state is discarded here, so its item->bin map is handed over
+    # rather than copied
     return PackingResult(
         items=items,
         bins=tuple(state.bins),
         algorithm_name=algorithm.name,
-        item_bin=dict(state.item_bin),
+        item_bin=state.item_bin,
     )

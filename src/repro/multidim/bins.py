@@ -22,7 +22,7 @@ from .items import VectorItem
 __all__ = ["VectorBin"]
 
 
-@dataclass
+@dataclass(slots=True)
 class VectorBin:
     """A multi-resource server; open/close lifecycle mirrors the 1-D bin."""
 

@@ -18,7 +18,7 @@ from ..core.intervals import Interval, span as _span
 __all__ = ["VectorItem", "VectorItemList"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VectorItem:
     """A job demanding ``sizes[d]`` of resource ``d`` over its interval."""
 

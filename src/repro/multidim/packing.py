@@ -104,9 +104,10 @@ def run_vector_packing(
 
     state = VectorPackingState(capacity=items.capacity, indexed=indexed)
     run_events(items, algorithm, state, observers, hook_base=VectorAlgorithm)
+    # the state is discarded here: hand its item->bin map over, no copy
     return VectorPackingResult(
         items=items,
         bins=tuple(state.bins),
         algorithm_name=algorithm.name,
-        item_bin=dict(state.item_bin),
+        item_bin=state.item_bin,
     )

@@ -23,6 +23,9 @@ supervisor spawns N ``repro serve`` worker processes (each a
   checkpoints it, stops the worker, boots a replacement on the same
   directory, and repoints the link — the drain/checkpoint/restore move
   behind one pause gate, losing no accepted request.
+- **SIGTERM.**  ``kill -TERM`` on the supervisor closes the router as
+  the ``shutdown`` op does, and the workers are stopped on the way out,
+  so none outlives it.
 - **Health probing.**  With ``probe_interval > 0`` the supervisor sends
   a cheap ``health`` op down each shard's control lane every interval.
   A worker that misses ``probe_misses`` consecutive probes (each bounded
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -109,6 +113,7 @@ class FleetSupervisor:
         self.router: Optional[ShardRouter] = None
         self._moving = [False] * shards  # handoff in progress: monitor, hands off
         self._stopping = False
+        self._terminated = False  # SIGTERM received
         self._tenants = tenants
 
     # -- worker processes -----------------------------------------------------
@@ -360,6 +365,16 @@ class FleetSupervisor:
             self._moving[index] = False
 
     # -- the fleet entry point ------------------------------------------------
+    def _terminate(self) -> None:
+        """SIGTERM: close the router as the ``shutdown`` op does.
+
+        :meth:`run`'s ``finally`` then stops the workers.  A signal that
+        lands while the workers boot closes the router once it exists.
+        """
+        self._terminated = True
+        if self.router is not None:
+            self.router.shutdown()
+
     async def run(
         self,
         *,
@@ -369,10 +384,13 @@ class FleetSupervisor:
     ) -> int:
         """Boot the workers, front them, serve until shutdown.
 
-        The workers are stopped on every way out, a failed boot included.
+        The workers are stopped on every way out, a failed boot and a
+        SIGTERM included.
         """
         monitor: Optional[asyncio.Task] = None
         prober: Optional[asyncio.Task] = None
+        loop = asyncio.get_running_loop()
+        loop.add_signal_handler(signal.SIGTERM, self._terminate)
         try:
             backends = await asyncio.get_event_loop().run_in_executor(
                 None, self.spawn_all
@@ -385,6 +403,8 @@ class FleetSupervisor:
                 handoff_callback=self.handoff,
                 **self.router_kwargs,
             )
+            if self._terminated:
+                self.router.shutdown()
             await self.router.connect()
             bound = await self.router.start(front_host, front_port)
             if port_file:
@@ -407,4 +427,5 @@ class FleetSupervisor:
             await asyncio.get_event_loop().run_in_executor(
                 None, self.stop_workers
             )
+            loop.remove_signal_handler(signal.SIGTERM)
         return 0

@@ -52,7 +52,7 @@ from .snapshot import (
     snapshot_engine,
     write_checkpoint,
 )
-from .wal import WalCorruptionError, WalRecord, WriteAheadLog, replay_wal
+from .wal import WalCorruptionError, WalRecord, WriteAheadLog
 
 __all__ = [
     "CHECKPOINT_PREFIX",
@@ -644,10 +644,11 @@ def recover(
 
     The standard restart path — ``repro serve --wal-dir`` calls this on
     boot, ``repro recover`` calls it for offline inspection.  Sequence:
-    open the WAL (which truncates a torn tail), load the newest loadable
-    checkpoint, replay every record past its ``wal_seq`` through the
-    real engine code paths, rebuild the idempotency window, and hand
-    back a :class:`DurableEngine` ready to serve.
+    open the WAL (which decodes every record and truncates a torn tail),
+    load the newest loadable checkpoint, replay every record past its
+    ``wal_seq`` through the real engine code paths, rebuild the
+    idempotency window, and hand back a :class:`DurableEngine` ready to
+    serve.
 
     ``algorithm_factory(name)`` builds the placement policy named in the
     checkpoint (defaults to the scalar/vector registries by snapshot
@@ -773,7 +774,9 @@ def recover(
         dedup = DedupWindow(dedup_limit)
 
     scalar = isinstance(engine.state, PackingState)
-    records, _ = replay_wal(directory, after_seq=report.checkpoint_seq)
+    # the records the log decoded when it was opened: each record is
+    # decoded once per recovery
+    records = wal.take_records(report.checkpoint_seq)
     if records and records[0].seq > report.checkpoint_seq + 1:
         raise WalCorruptionError(
             f"WAL resumes at seq {records[0].seq} but the newest loadable "

@@ -96,6 +96,14 @@ def write_checkpoint(path: str, doc: dict) -> None:
     """
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
+        # json.dump streams chunks into the file; CPython serves it with
+        # the pure-Python encoder, so it is the slower call: on a
+        # 9,283-item scalar checkpoint (1.7 MB) it took 0.25 s against
+        # 0.09 s for json.dumps (2-vCPU VM, CPython 3.11).  json.dumps
+        # builds the whole document as one string first (5.1 MB of
+        # traced allocation against 0.6 MB), and it raised
+        # fleet-recover's peak_rss_mb by about 10 MB; see
+        # docs/PERFORMANCE.md, "Checkpoint encoding".
         json.dump(doc, f, sort_keys=True, separators=(",", ":"))
         f.write("\n")
         f.flush()
@@ -190,7 +198,9 @@ def _bin_record(b, scalar: bool) -> dict:
     }
     if scalar:
         rec["level"] = b.level
-        rec["history"] = [[t, lvl] for t, lvl in b.level_history]
+        rec["history"] = [
+            [t, lvl] for t, lvl in zip(b.level_times, b.level_values)
+        ]
     else:
         rec["levels"] = list(b.levels)
     return rec
@@ -200,7 +210,8 @@ def _make_bin(rec: dict, items: dict, capacity, scalar: bool):
     if scalar:
         b = Bin(index=rec["index"], capacity=capacity)
         b.level = rec["level"]
-        b.level_history = [(t, lvl) for t, lvl in rec["history"]]
+        b.level_times.extend(t for t, _ in rec["history"])
+        b.level_values.extend(lvl for _, lvl in rec["history"])
     else:
         from ..multidim.bins import VectorBin
 

@@ -225,7 +225,9 @@ def replay_wal(
     Returns ``(records, torn_bytes)``.  Only the *last* segment may end
     in a torn tail (``torn_bytes`` counts the discarded bytes); a defect
     in any earlier segment raises :class:`WalCorruptionError`, as does a
-    gap in the sequence numbers.
+    gap in the sequence numbers.  Opening a :class:`WriteAheadLog` runs
+    this once over the whole log, and recovery replays what it found
+    (:meth:`WriteAheadLog.take_records`) rather than reading it again.
     """
     segments = wal_segments(directory)
     out: list[WalRecord] = []
@@ -494,17 +496,20 @@ class WriteAheadLog:
 
     # -- opening / rotation ---------------------------------------------------
     def _open_tail(self) -> None:
-        """Resume the existing log: truncate a torn tail, continue appending."""
+        """Resume the existing log: truncate a torn tail, continue appending.
+
+        Every record on disk is decoded here, by :func:`replay_wal` and
+        with all of its checks, and kept until recovery takes it
+        (:meth:`take_records`), so a recovery decodes each record once.
+        """
         segments = wal_segments(self.directory)
-        for i, path in enumerate(segments):
-            tail = i == len(segments) - 1
-            records, valid = read_segment(path, tolerate_tail=tail)
-            if records:
-                self.last_seq = records[-1].seq
-            if tail and valid < os.path.getsize(path):
-                self.recovered_torn_bytes = os.path.getsize(path) - valid
-                with open(path, "r+b") as f:
-                    f.truncate(valid)
+        self._found, torn = replay_wal(self.directory)
+        if self._found:
+            self.last_seq = self._found[-1].seq
+        if torn:
+            self.recovered_torn_bytes = torn
+            with open(segments[-1], "r+b") as f:
+                f.truncate(os.path.getsize(segments[-1]) - torn)
         if segments:
             # unbuffered: each append is one raw write straight into the
             # OS page cache — no userspace buffer to flush or lose
@@ -512,6 +517,16 @@ class WriteAheadLog:
             self._segment_size = os.path.getsize(segments[-1])
         else:
             self._start_segment(1)
+
+    def take_records(self, after_seq: int) -> list[WalRecord]:
+        """The records found on disk at open with ``seq > after_seq``.
+
+        What :func:`replay_wal` would return for the directory as it was
+        opened; the log drops its own reference, so a second call
+        returns ``[]``.
+        """
+        found, self._found = self._found, []
+        return [rec for rec in found if rec.seq > after_seq]
 
     def _start_segment(self, first_seq: int) -> None:
         with self._fd_lock:

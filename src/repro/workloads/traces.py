@@ -119,12 +119,16 @@ def from_json(text: str) -> AnyItemList:
             "document must be an object with an 'items' list", field="items"
         )
     capacity = doc.get("capacity", 1.0)
+    records = doc["items"]
     vector = isinstance(capacity, (list, tuple)) or any(
-        isinstance(rec, dict) and "sizes" in rec for rec in doc["items"]
+        isinstance(rec, dict) and "sizes" in rec for rec in records
     )
-    items = [
-        _item_from_record(rec, i, vector) for i, rec in enumerate(doc["items"])
-    ]
+    # each parsed record is dropped as soon as its item exists, so the
+    # parsed document and the items are never both resident in full
+    items = []
+    for i in range(len(records)):
+        rec, records[i] = records[i], None
+        items.append(_item_from_record(rec, i, vector))
     try:
         if vector:
             if not isinstance(capacity, (list, tuple)):

@@ -5,6 +5,8 @@ packing results in targeted ways and assert the corresponding checker
 reports the damage.
 """
 
+from array import array
+
 import pytest
 
 from repro.algorithms import FirstFit
@@ -44,7 +46,8 @@ class TestEquationOneCheckers:
             level=b.level,
             active_items=dict(b.active_items),
             all_items=list(b.all_items),
-            level_history=list(b.level_history),
+            level_times=array("d", b.level_times),
+            level_values=array("d", b.level_values),
         )
         bins[0] = stretched
         report = verify_analysis(clone_with_bins(result, bins), check_lemma2=False)
@@ -75,7 +78,8 @@ class TestProp6Checker:
             active_items=dict(b.active_items),
             all_items=list(b.all_items),
             # level drops to 0.1 in the middle of the h-subperiod
-            level_history=[(2.0, 0.7), (3.0, 0.1), (6.0, 0.0)],
+            level_times=array("d", [2.0, 3.0, 6.0]),
+            level_values=array("d", [0.7, 0.1, 0.0]),
         )
         bins[1] = corrupted
         report = verify_analysis(clone_with_bins(result, bins), check_lemma2=False)
@@ -133,7 +137,8 @@ class TestTheoremChainChecker:
                     level=b.level,
                     active_items=dict(b.active_items),
                     all_items=list(b.all_items),
-                    level_history=list(b.level_history),
+                    level_times=array("d", b.level_times),
+                    level_values=array("d", b.level_values),
                 )
             )
         report = verify_analysis(clone_with_bins(result, bins), check_lemma2=False)

@@ -1,11 +1,48 @@
 """Tests for repro.core.events: deterministic event ordering."""
 
 from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.events import EventKind, event_sequence
+from repro.core.events import EventKind, event_sequence, event_tuples
 from repro.core.items import Item, ItemList
+from repro.multidim.items import VectorItem, VectorItemList
 
 from ..conftest import item_lists
+
+
+def sorted_event_tuples(items):
+    """The declared reference order: all 2n event tuples built eagerly
+    and tuple-sorted — time, then departures (kind 0) before arrivals
+    (kind 1), then instance order.  :func:`event_tuples`' lazy merge
+    must reproduce it exactly.
+    """
+    events = []
+    for seq, it in enumerate(items):
+        events.append((it.arrival, 1, seq, it))
+        events.append((it.departure, 0, seq, it))
+    events.sort()
+    return events
+
+
+@st.composite
+def integer_time_items(draw, vector=False):
+    """Instances on a coarse integer clock: arrivals tie with arrivals,
+    departures with departures, and arrivals with departures."""
+    n = draw(st.integers(1, 30))
+    items = []
+    for i in range(n):
+        arrival = draw(st.integers(0, 8))
+        departure = arrival + draw(st.integers(1, 4))
+        if vector:
+            sizes = (
+                draw(st.sampled_from([0.25, 0.5])),
+                draw(st.sampled_from([0.1, 0.6])),
+            )
+            items.append(VectorItem(i, sizes, arrival, departure))
+        else:
+            size = draw(st.sampled_from([0.2, 0.5, 0.9]))
+            items.append(Item(i, size, arrival, departure))
+    return VectorItemList(items, capacity=(1.0, 1.0)) if vector else ItemList(items)
 
 
 class TestEventOrdering:
@@ -51,3 +88,31 @@ class TestEventOrdering:
                 seen_arrival.add(e.item.item_id)
             else:
                 assert e.item.item_id in seen_arrival
+
+
+class TestLazyMergeEqualsTupleSort:
+    """``event_tuples`` merges two index sorts lazily; the stream must be
+    the tuple-sorted list, tuple for tuple (same float objects, same
+    items)."""
+
+    @given(item_lists(max_items=40))
+    def test_random_instances(self, items):
+        assert list(event_tuples(items)) == sorted_event_tuples(items)
+
+    @given(integer_time_items())
+    def test_integer_times_with_ties(self, items):
+        assert list(event_tuples(items)) == sorted_event_tuples(items)
+
+    @given(integer_time_items(vector=True))
+    def test_vector_items_with_ties(self, items):
+        assert list(event_tuples(items)) == sorted_event_tuples(items)
+
+    def test_stream_carries_the_instance_objects(self):
+        items = ItemList([Item(0, 0.5, 0.0, 1.0), Item(1, 0.5, 1.0, 2.0)])
+        for (t, _, _, it), (rt, _, _, rit) in zip(
+            event_tuples(items), sorted_event_tuples(items)
+        ):
+            assert t is rt and it is rit
+
+    def test_empty_instance(self):
+        assert list(event_tuples([])) == []

@@ -176,6 +176,38 @@ def test_failed_fleet_boot_stops_every_worker(tmp_path):
             os.kill(pid, signal.SIGKILL)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_sigterm_stops_every_worker(tmp_path):
+    """``kill -TERM`` on ``repro fleet`` closes it with rc 0 and takes
+    its workers down with it instead of leaving them reparented."""
+    wal_root = str(tmp_path / "fleet")
+    port_file = str(tmp_path / "PORT")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "fleet",
+            "--shards", str(SHARDS),
+            "--wal-dir", wal_root,
+            "--port", "0",
+            "--port-file", port_file,
+            "--fsync", "never",
+            "--quiet",
+        ],
+        env=_env_with_src(),
+    )
+    try:
+        wait_for_port(port_file, proc)
+        assert len(_workers_under(wal_root)) == SHARDS
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 0
+        assert _workers_under(wal_root) == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in _workers_under(wal_root):
+            os.kill(pid, signal.SIGKILL)
+
+
 _STAND_IN_WORKER = """
 import os, sys, time
 port_file, delay = sys.argv[1], sys.argv[2]

@@ -236,6 +236,42 @@ def test_recovery_metrics_and_report(tmp_path):
     recovered.close()
 
 
+def test_recovery_decodes_each_record_once(tmp_path, monkeypatch):
+    """Opening the log decodes every record on disk; replaying the tail
+    past a mid-log checkpoint reuses them instead of reading again."""
+    import repro.service.wal as wal_mod
+
+    capacity, ops = scalar_ops(n=30, seed=13)
+    make_engine = lambda: StreamingEngine.scalar(
+        make_algorithm("first-fit"), capacity=capacity
+    )
+    wal = WriteAheadLog(str(tmp_path), fsync="never")
+    durable = DurableEngine(make_engine(), wal, checkpoint_every=1000)
+    half = len(ops) // 2
+    for i, op in enumerate(ops):
+        if i == half:
+            durable.checkpoint_now()
+        apply_op(durable, i, op, durable=True)
+    wal.close()
+    on_disk = wal.last_seq
+
+    calls = []
+    decode = wal_mod._decode
+
+    def counting(line):
+        calls.append(line)
+        return decode(line)
+
+    monkeypatch.setattr(wal_mod, "_decode", counting)
+    recovered, report = recover(
+        str(tmp_path), engine_builder=make_engine, fsync="never"
+    )
+    recovered.close()
+    assert 0 < report.checkpoint_seq < on_disk
+    assert report.replayed == on_disk - report.checkpoint_seq
+    assert len(calls) == on_disk
+
+
 def test_duplicate_submit_is_answered_from_the_window(tmp_path):
     capacity, ops = scalar_ops(n=10, seed=21)
     engine = StreamingEngine.scalar(
