@@ -964,7 +964,8 @@ def cmd_wal(args) -> int:
         print(
             f"wal verify {report['directory']}: {report['records']} records "
             f"in {seg_count} segment(s), seq "
-            f"{report['first_seq'] or 0}..{report['last_seq'] or 0}"
+            f"{report['first_seq'] or 0}..{report['last_seq'] or 0}, "
+            f"resumes at {report['resume_seq']}"
         )
         print(
             f"checkpoints: {ckpt_ok}/{len(report['checkpoints'])} loadable; "

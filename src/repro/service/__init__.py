@@ -62,7 +62,6 @@ __all__ = lazy_exports(
             "DedupWindow",
             "DurableEngine",
             "RecoveryReport",
-            "latest_checkpoint",
             "recover",
         ),
         "router": (

@@ -52,7 +52,14 @@ from .snapshot import (
     snapshot_engine,
     write_checkpoint,
 )
-from .wal import WalCorruptionError, WalRecord, WriteAheadLog
+from .wal import (
+    CHECKPOINT_PREFIX,
+    CHECKPOINT_SUFFIX,
+    WalCorruptionError,
+    WalRecord,
+    WriteAheadLog,
+    checkpoint_files,
+)
 
 __all__ = [
     "CHECKPOINT_PREFIX",
@@ -60,12 +67,8 @@ __all__ = [
     "DurableEngine",
     "RecoveryReport",
     "declare_durable_metrics",
-    "latest_checkpoint",
     "recover",
 ]
-
-CHECKPOINT_PREFIX = "checkpoint-"
-CHECKPOINT_SUFFIX = ".json"
 
 #: Names the durable layer adds to the engine's metrics registry.
 _DURABLE_COUNTERS = (
@@ -126,8 +129,8 @@ class DedupWindow:
         return [[rid, doc] for rid, doc in self._entries.items()]
 
     @classmethod
-    def restore(cls, payload: list, limit: int = 4096) -> "DedupWindow":
-        window = cls(limit)
+    def restore(cls, payload: list) -> "DedupWindow":
+        window = cls()
         for rid, doc in payload:
             window.put(rid, doc)
         return window
@@ -214,7 +217,6 @@ class DurableEngine:
         checkpoint_bytes: Optional[int] = None,
         auto_checkpoint: bool = True,
         dedup: Optional[DedupWindow] = None,
-        dedup_limit: int = 4096,
         injector: Optional[FaultInjector] = None,
     ):
         if checkpoint_every < 1:
@@ -227,7 +229,7 @@ class DurableEngine:
         self.checkpoint_every = int(checkpoint_every)
         self.checkpoint_bytes = checkpoint_bytes
         self.auto_checkpoint = auto_checkpoint
-        self.dedup = dedup if dedup is not None else DedupWindow(dedup_limit)
+        self.dedup = dedup if dedup is not None else DedupWindow()
         self.injector = injector
         if injector is not None:
             engine._stepper.fault_hook = injector.point
@@ -265,26 +267,12 @@ class DurableEngine:
             if cached is not None:
                 self._count("repro_service_duplicate_requests_total")
                 return Placement.from_dict(cached)
-        # _append/_point inlined: this method is the service's hot path
-        try:
-            self.wal.append(self._submit_body(item, request_id, schedule_departure))
-        except OSError:
-            self._count("repro_service_wal_errors_total")
-            self._mirror_wal_metrics()
-            raise
-        self._since_checkpoint += 1
-        if self._counters:
-            self._mirror_wal_metrics()
-        injector = self.injector
-        if injector is not None:
-            injector.point("wal.appended")
-        placement = self.engine.submit(item, schedule_departure=schedule_departure)
-        if injector is not None:
-            injector.point("applied")
-        if request_id is not None:
-            self.dedup.put(request_id, placement.to_dict())
-        self._maybe_checkpoint()
-        return placement
+        return self._commit(
+            self.wal.append,
+            self._submit_body(item, request_id, schedule_departure),
+            self._apply_submit,
+            ((item, request_id, schedule_departure),),
+        )[0]
 
     def submit_many(
         self, requests: "list[tuple[Any, Optional[str]]]"
@@ -312,65 +300,42 @@ class DurableEngine:
         outcomes: list = [None] * len(requests)
         fresh: list[int] = []
         bodies: list = []
-        dedup = self.dedup
+        calls: list = []
         for i, (item, rid) in enumerate(requests):
             if rid is not None:
-                cached = dedup.get(rid)
+                cached = self.dedup.get(rid)
                 if cached is not None:
                     self._count("repro_service_duplicate_requests_total")
                     outcomes[i] = ("cached", cached)
                     continue
             fresh.append(i)
             bodies.append(self._submit_body(item, rid, True))
+            calls.append((item, rid, True))
         if not fresh:
             return outcomes
         try:
-            self.wal.append_many(bodies)
+            results = self._commit(
+                self.wal.append_many, bodies, self._apply_submit, calls,
+                (ValueError, KeyError),
+            )
         except OSError as exc:
-            self._count("repro_service_wal_errors_total")
-            self._mirror_wal_metrics()
-            for i in fresh:
-                outcomes[i] = ("refused", exc)
-            return outcomes
-        self._since_checkpoint += len(fresh)
-        if self._counters:
-            self._mirror_wal_metrics()
-        injector = self.injector
-        engine = self.engine
-        for i in fresh:
-            item, rid = requests[i]
-            if injector is not None:
-                injector.point("wal.appended")
-            try:
-                placement = engine.submit(item)
-            except (ValueError, KeyError) as exc:
-                outcomes[i] = ("refused", exc)
-                continue
-            if injector is not None:
-                injector.point("applied")
-            if rid is not None:
-                dedup.put(rid, placement.to_dict())
-            outcomes[i] = ("placed", placement)
-        self._maybe_checkpoint()
+            results = [exc] * len(fresh)
+        for i, result in zip(fresh, results):
+            refused = isinstance(result, Exception)
+            outcomes[i] = ("refused" if refused else "placed", result)
         return outcomes
 
     def depart(self, item_id: int, now: Optional[float] = None) -> None:
         payload: dict[str, Any] = {"op": "depart", "id": int(item_id)}
         if now is not None:
             payload["now"] = float(now)
-        self._append(payload)
-        self._point("wal.appended")
-        self.engine.depart(item_id, now)
-        self._point("applied")
-        self._maybe_checkpoint()
+        self._commit(self.wal.append, payload, self.engine.depart, ((item_id, now),))
 
     def advance(self, now: float) -> int:
-        self._append({"op": "advance", "now": float(now)})
-        self._point("wal.appended")
-        applied = self.engine.advance(now)
-        self._point("applied")
-        self._maybe_checkpoint()
-        return applied
+        return self._commit(
+            self.wal.append, {"op": "advance", "now": float(now)},
+            self.engine.advance, ((now,),),
+        )[0]
 
     def defrag(self, budget: int) -> int:
         """One durable defragmenter pass: append-before-move.
@@ -386,12 +351,10 @@ class DurableEngine:
         budget = int(budget)
         if not self.engine.plan_defrag(budget):
             return 0
-        self._append({"op": "defrag", "budget": budget})
-        self._point("wal.appended")
-        moved = self.engine.defrag(budget)
-        self._point("applied")
-        self._maybe_checkpoint()
-        return moved
+        return self._commit(
+            self.wal.append, {"op": "defrag", "budget": budget},
+            self.engine.defrag, ((budget,),),
+        )[0]
 
     def finish(self):
         """Log the drain, drain, and cut a final (empty-fleet) checkpoint.
@@ -399,11 +362,11 @@ class DurableEngine:
         With ``auto_checkpoint`` off the caller owns checkpoint timing,
         so only the drain record is logged — replay re-drains.
         """
-        self._append({"op": "drain"})
-        self._point("wal.appended")
-        result = self.engine.finish()
-        self._point("applied")
-        if self.auto_checkpoint:
+        result = self._commit(
+            self.wal.append, {"op": "drain"}, self.engine.finish, ((),)
+        )[0]
+        # the commit's own checkpoint check may already have cut it
+        if self.auto_checkpoint and self._since_checkpoint:
             self.checkpoint_now()
         return result
 
@@ -426,7 +389,8 @@ class DurableEngine:
     # -- checkpointing --------------------------------------------------------
     def checkpoint_now(self) -> str:
         """Cut a checkpoint: fsync barrier, atomic write, prune the log."""
-        self._point("checkpoint")
+        if self.injector is not None:
+            self.injector.point("checkpoint")
         self.wal.sync()
         doc = {
             "version": SNAPSHOT_VERSION,
@@ -454,26 +418,11 @@ class DurableEngine:
         latent defect in the newest file; everything older is covered
         by it and only wastes disk.
         """
-        names = sorted(
-            n
-            for n in os.listdir(self.directory)
-            if n.startswith(CHECKPOINT_PREFIX) and n.endswith(CHECKPOINT_SUFFIX)
-        )
-        for name in names[:-keep]:
+        for path in checkpoint_files(self.directory)[:-keep]:
             try:
-                os.remove(os.path.join(self.directory, name))
+                os.remove(path)
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
-
-    def _maybe_checkpoint(self) -> None:
-        if not self.auto_checkpoint:
-            return
-        if self._since_checkpoint >= self.checkpoint_every or (
-            self.checkpoint_bytes is not None
-            and self.wal.bytes_written - self._bytes_at_checkpoint
-            >= self.checkpoint_bytes
-        ):
-            self.checkpoint_now()
 
     # -- internals ------------------------------------------------------------
     def _submit_body(self, item, request_id, schedule_departure) -> "str | dict":
@@ -523,22 +472,59 @@ class DurableEngine:
             payload["rid"] = request_id
         return payload
 
-    def _append(self, payload: "dict | str") -> int:
+    def _apply_submit(self, item, request_id, schedule_departure) -> Placement:
+        placement = self.engine.submit(item, schedule_departure=schedule_departure)
+        if request_id is not None:
+            self.dedup.put(request_id, placement.to_dict())
+        return placement
+
+    def _commit(self, append, logged, apply, calls, refusals=()) -> list:
+        """The one log-then-apply body behind every durable operation.
+
+        ``append(logged)`` writes the operations' records in one WAL
+        write: ``wal.append`` for a single op, ``wal.append_many`` for
+        a batch.  Then ``apply(*args)`` runs for each entry of
+        ``calls``, between the ``wal.appended`` and ``applied`` kill
+        points, and the auto-checkpoint check runs once at the end.
+        Returns one result per call; an exception listed in
+        ``refusals`` becomes that call's result, so a batch refuses the
+        op and goes on.  A single op lists none: an engine refusal
+        propagates to its caller and skips the checkpoint check.
+        """
         try:
-            seq = self.wal.append(payload)
+            append(logged)
         except OSError:
             # an I/O fault refuses the *operation*, not the service: the
             # engine was never touched, the client sees a clean error
             self._count("repro_service_wal_errors_total")
             self._mirror_wal_metrics()
             raise
-        self._since_checkpoint += 1
-        self._mirror_wal_metrics()
-        return seq
-
-    def _point(self, name: str) -> None:
-        if self.injector is not None:
-            self.injector.point(name)
+        self._since_checkpoint += len(calls)
+        if self._counters:
+            self._mirror_wal_metrics()
+        injector = self.injector
+        results = []
+        for args in calls:
+            if injector is not None:
+                injector.point("wal.appended")
+            try:
+                result = apply(*args)
+            except refusals as exc:
+                results.append(exc)
+                continue
+            if injector is not None:
+                injector.point("applied")
+            results.append(result)
+        if self.auto_checkpoint and (
+            self._since_checkpoint >= self.checkpoint_every
+            or (
+                self.checkpoint_bytes is not None
+                and self.wal.bytes_written - self._bytes_at_checkpoint
+                >= self.checkpoint_bytes
+            )
+        ):
+            self.checkpoint_now()
+        return results
 
     def _count(self, name: str, amount: float = 1.0) -> None:
         counter = self._counters.get(name)
@@ -565,39 +551,6 @@ class DurableEngine:
 
 
 # -- recovery -----------------------------------------------------------------
-def latest_checkpoint(
-    directory: str,
-) -> tuple[Optional[str], Optional[dict], list[str]]:
-    """Newest loadable checkpoint: ``(path, doc, skipped_paths)``.
-
-    Unreadable checkpoints (truncated by a crash predating atomic
-    writes, bit rot) are skipped with a note; a checkpoint with a
-    *newer schema version* than this code raises — silently falling
-    back to older state would lose acknowledged operations.
-    """
-    try:
-        names = sorted(os.listdir(directory), reverse=True)
-    except FileNotFoundError:
-        return None, None, []
-    skipped: list[str] = []
-    for name in names:
-        if not (name.startswith(CHECKPOINT_PREFIX) and name.endswith(CHECKPOINT_SUFFIX)):
-            continue
-        path = os.path.join(directory, name)
-        try:
-            doc = read_checkpoint(path)
-        except ValueError as exc:
-            if "newer than this code" in str(exc):
-                raise
-            skipped.append(path)
-            continue
-        except OSError:
-            skipped.append(path)
-            continue
-        return path, doc, skipped
-    return None, None, skipped
-
-
 def _replay_record(engine: StreamingEngine, rec: WalRecord, scalar: bool):
     """Apply one logged operation; returns the placement for submits."""
     payload = rec.payload
@@ -625,18 +578,15 @@ def _replay_record(engine: StreamingEngine, rec: WalRecord, scalar: bool):
 def recover(
     directory: str,
     *,
-    algorithm_factory: Optional[Callable[[str], Any]] = None,
     engine_builder: Optional[Callable[[], StreamingEngine]] = None,
     admission=None,
     metrics: Optional[MetricsRegistry] = None,
     decision_log=None,
-    observers=(),
     fsync: str = "interval",
     fsync_every: int = 512,
     segment_bytes: Optional[int] = None,
     checkpoint_every: int = 1000,
     checkpoint_bytes: Optional[int] = None,
-    dedup_limit: int = 4096,
     injector: Optional[FaultInjector] = None,
     manifest: Optional[dict] = None,
 ) -> tuple[DurableEngine, RecoveryReport]:
@@ -647,14 +597,14 @@ def recover(
     open the WAL (which decodes every record and truncates a torn tail),
     load the newest loadable checkpoint, replay every record past its
     ``wal_seq`` through the real engine code paths, rebuild the
-    idempotency window, and hand back a :class:`DurableEngine` ready to
-    serve.
+    idempotency window, continue the log past the checkpoint
+    (:meth:`~repro.service.wal.WriteAheadLog.resume_after`), and hand
+    back a :class:`DurableEngine` ready to serve.
 
-    ``algorithm_factory(name)`` builds the placement policy named in the
-    checkpoint (defaults to the scalar/vector registries by snapshot
-    kind).  ``engine_builder()`` supplies the *fresh* engine when no
-    checkpoint exists (a cold start or a crash before the first one);
-    without it an empty directory is an error.
+    The checkpoint's policy comes from the scalar or vector registry,
+    by snapshot kind.  ``engine_builder()`` supplies the *fresh* engine
+    when no checkpoint exists (a cold start or a crash before the first
+    one); without it an empty directory is an error.
 
     ``manifest`` binds the directory to a shard identity: on a fresh
     directory it is written as the MANIFEST file; on an existing one it
@@ -695,7 +645,6 @@ def recover(
         io_hook=injector,
     )
     report.torn_bytes = wal.recovered_torn_bytes
-    report.last_seq = wal.last_seq
 
     if metrics is not None:
         declare_durable_metrics(metrics)
@@ -711,17 +660,7 @@ def recover(
     skipped: list[str] = []
     reg = metrics
     dirty = False  # a failed restore may have half-populated ``reg``
-    try:
-        names = sorted(os.listdir(directory), reverse=True)
-    except FileNotFoundError:
-        names = []
-    for name in names:
-        if not (
-            name.startswith(CHECKPOINT_PREFIX)
-            and name.endswith(CHECKPOINT_SUFFIX)
-        ):
-            continue
-        path = os.path.join(directory, name)
+    for path in reversed(checkpoint_files(directory)):
         try:
             doc = read_checkpoint(path)
         except ValueError as exc:
@@ -739,21 +678,18 @@ def recover(
         try:
             checkpoint_seq = int(doc["wal_seq"])
             engine_doc = doc["engine"]
-            factory = algorithm_factory
-            if factory is None:
-                if engine_doc["kind"] == "scalar":
-                    from ..algorithms import make_algorithm as factory
-                else:
-                    from ..multidim import make_vector_algorithm as factory
+            if engine_doc["kind"] == "scalar":
+                from ..algorithms import make_algorithm as factory
+            else:
+                from ..multidim import make_vector_algorithm as factory
             engine = restore_engine(
                 engine_doc,
                 factory(engine_doc["algorithm"]),
                 admission=admission,
                 metrics=reg,
                 decision_log=decision_log,
-                observers=observers,
             )
-            dedup = DedupWindow.restore(doc.get("dedup", []), dedup_limit)
+            dedup = DedupWindow.restore(doc.get("dedup", []))
         except (ValueError, KeyError, TypeError):
             report.fallback_checkpoints.append(path)
             engine = None
@@ -771,17 +707,26 @@ def recover(
                 f"cannot cold-start the replay"
             )
         engine = engine_builder()
-        dedup = DedupWindow(dedup_limit)
+        dedup = DedupWindow()
 
     scalar = isinstance(engine.state, PackingState)
     # the records the log decoded when it was opened: each record is
     # decoded once per recovery
-    records = wal.take_records(report.checkpoint_seq)
-    if records and records[0].seq > report.checkpoint_seq + 1:
+    found = wal.take_records()
+    if found and found[-1].seq < report.checkpoint_seq:
         raise WalCorruptionError(
-            f"WAL resumes at seq {records[0].seq} but the newest loadable "
+            f"WAL ends at seq {found[-1].seq} but the newest loadable "
+            f"checkpoint covers through seq {report.checkpoint_seq} — what "
+            f"was logged after it is missing or numbered as covered by it; "
+            f"refusing to recover with acknowledged operations missing"
+        )
+    records = [rec for rec in found if rec.seq > report.checkpoint_seq]
+    first = records[0].seq if records else wal.last_seq + 1
+    if first > report.checkpoint_seq + 1:
+        raise WalCorruptionError(
+            f"WAL resumes at seq {first} but the newest loadable "
             f"checkpoint covers only through seq {report.checkpoint_seq} — "
-            f"records {report.checkpoint_seq + 1}..{records[0].seq - 1} "
+            f"records {report.checkpoint_seq + 1}..{first - 1} "
             f"are gone; refusing to recover with acknowledged operations "
             f"missing"
         )
@@ -798,6 +743,8 @@ def recover(
             dedup.put(rid, placement.to_dict())
     report.replayed = len(records)
     report.dedup_entries = len(dedup)
+    wal.resume_after(report.checkpoint_seq)
+    report.last_seq = wal.last_seq
 
     durable = DurableEngine(
         engine,

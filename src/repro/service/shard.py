@@ -116,7 +116,6 @@ class ShardContext:
         segment_bytes: Optional[int] = None,
         checkpoint_every: int = 1000,
         checkpoint_bytes: Optional[int] = None,
-        dedup_limit: int = 4096,
         injector: Optional[FaultInjector] = None,
     ) -> "ShardContext":
         """Boot one shard: fresh engine, or recover + manifest-check."""
@@ -155,7 +154,6 @@ class ShardContext:
             segment_bytes=segment_bytes,
             checkpoint_every=checkpoint_every,
             checkpoint_bytes=checkpoint_bytes,
-            dedup_limit=dedup_limit,
             injector=injector,
             manifest=manifest,
         )

@@ -15,6 +15,10 @@ On-disk layout (one directory, shared with the checkpoints):
     record.  Rotation at :attr:`~WriteAheadLog.segment_bytes` keeps
     segments prunable: once a checkpoint covers a whole segment the
     file is deleted (:meth:`WriteAheadLog.prune`).
+``checkpoint-<wal_seq:010d>.json``
+    A checkpoint covering every record ``<= wal_seq``
+    (:mod:`repro.service.recovery` writes them, :func:`checkpoint_files`
+    lists them).
 
 Each record is one line::
 
@@ -22,12 +26,22 @@ Each record is one line::
 
 The CRC detects torn writes and bit rot; the sequence number makes
 replay idempotent against a checkpoint (records ``<= wal_seq`` of the
-checkpoint are skipped).  A *torn tail* — a partial final record from a
-crash mid-write — is expected and tolerated: replay stops at the first
-undecodable record of the **last** segment, and reopening the log for
-append truncates the torn bytes.  An undecodable record anywhere else
-is real corruption and raises :class:`WalCorruptionError` — recovery
-must not silently skip acknowledged operations.
+checkpoint are skipped).  Every reader of the directory — replay,
+reopening the log for append, and the offline audit — goes through one
+scanner (:func:`_scan`) with one rule set:
+
+- each record has a valid CRC, a trailing newline and a JSON object;
+- undecodable bytes are allowed only as a suffix of the **last**
+  segment with no intact record after them: the *torn tail* a crash
+  mid-write leaves, which reopening the log truncates;
+- sequence numbers are contiguous across the whole log;
+- a segment's first record carries the sequence number in its name.
+
+Anything else is corruption and raises :class:`WalCorruptionError` —
+recovery must not silently skip acknowledged operations.  The log
+resumes one past its last record, and never below the live segment's
+name (:func:`_resume_seq`), so a live segment left empty by a refused
+write still numbers the next record correctly.
 
 Durability knobs (``fsync`` policy):
 
@@ -54,8 +68,8 @@ import json
 import os
 import threading
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 __all__ = [
     "FSYNC_MODES",
@@ -64,6 +78,7 @@ __all__ = [
     "WalError",
     "WalRecord",
     "WriteAheadLog",
+    "checkpoint_files",
     "read_manifest",
     "read_segment",
     "replay_wal",
@@ -76,6 +91,8 @@ FSYNC_MODES = ("never", "interval", "always")
 
 SEGMENT_PREFIX = "wal-"
 SEGMENT_SUFFIX = ".log"
+CHECKPOINT_PREFIX = "checkpoint-"
+CHECKPOINT_SUFFIX = ".json"
 
 #: The WAL directory's identity card.  Written once when a shard first
 #: claims the directory; recovery refuses to replay a log whose manifest
@@ -124,7 +141,7 @@ class WalError(Exception):
 
 
 class WalCorruptionError(WalError):
-    """An undecodable record *before* the tail — acknowledged data is gone."""
+    """The log breaks a rule of the scanner — acknowledged data is gone."""
 
 
 @dataclass(frozen=True)
@@ -175,8 +192,13 @@ def _segment_path(directory: str, first_seq: int) -> str:
     )
 
 
-def wal_segments(directory: str) -> list[str]:
-    """Paths of the WAL segments under ``directory``, in sequence order."""
+def _segment_seq(path: str) -> int:
+    """The sequence number a segment's file name promises its first record."""
+    name = os.path.basename(path)
+    return int(name[len(SEGMENT_PREFIX) : -len(SEGMENT_SUFFIX)])
+
+
+def _listing(directory: str, prefix: str, suffix: str) -> list[str]:
     try:
         names = os.listdir(directory)
     except FileNotFoundError:
@@ -184,37 +206,125 @@ def wal_segments(directory: str) -> list[str]:
     return [
         os.path.join(directory, name)
         for name in sorted(names)
-        if name.startswith(SEGMENT_PREFIX) and name.endswith(SEGMENT_SUFFIX)
+        if name.startswith(prefix) and name.endswith(suffix)
     ]
 
 
-def read_segment(path: str, *, tolerate_tail: bool = False) -> tuple[list[WalRecord], int]:
-    """Decode one segment file.
+def wal_segments(directory: str) -> list[str]:
+    """Paths of the WAL segments under ``directory``, in sequence order."""
+    return _listing(directory, SEGMENT_PREFIX, SEGMENT_SUFFIX)
 
-    Returns ``(records, valid_bytes)`` where ``valid_bytes`` is the file
-    offset up to which records decoded cleanly.  With ``tolerate_tail``
-    a trailing undecodable region is accepted (the torn-write case);
-    without it any defect raises :class:`WalCorruptionError`.
+
+def checkpoint_files(directory: str) -> list[str]:
+    """Paths of the checkpoints under ``directory``, oldest first."""
+    return _listing(directory, CHECKPOINT_PREFIX, CHECKPOINT_SUFFIX)
+
+
+def _decode_segment(data: bytes) -> tuple[list[WalRecord], Optional[str], int]:
+    """Decode a segment's bytes up to its first undecodable chunk.
+
+    Returns ``(records, defect, torn)``: the records before that chunk;
+    ``None`` when there is none, else a description of it; and the
+    bytes from the chunk to the end of the data, or 0 when an intact
+    record follows it (the defect is then not a suffix).
     """
     records: list[WalRecord] = []
-    valid = 0
-    with open(path, "rb") as f:
-        data = f.read()
+    bad: Optional[tuple[int, Exception]] = None
     offset = 0
     while offset < len(data):
         end = data.find(b"\n", offset)
         chunk = data[offset:] if end < 0 else data[offset : end + 1]
         try:
-            records.append(_decode(chunk))
+            rec = _decode(chunk)
         except (ValueError, UnicodeDecodeError) as exc:
-            if tolerate_tail:
-                return records, valid
-            raise WalCorruptionError(
-                f"{os.path.basename(path)} at byte {offset}: {exc}"
-            ) from exc
+            if bad is None:
+                bad = (offset, exc)
+        else:
+            if bad is not None:
+                return records, (
+                    f"at byte {bad[0]}: {bad[1]} — intact records follow, so "
+                    f"this is mid-log corruption, not a torn tail"
+                ), 0
+            records.append(rec)
         offset += len(chunk)
-        valid = offset
-    return records, valid
+    if bad is None:
+        return records, None, 0
+    return records, f"at byte {bad[0]}: {bad[1]}", len(data) - bad[0]
+
+
+def _scan(
+    directory: str, problem: Callable[[str], None]
+) -> list[tuple[str, list[WalRecord], int]]:
+    """The one reader of a log directory, under the module's rule set.
+
+    Returns ``(path, records, torn_bytes)`` per segment, in order:
+    the records decoded before the segment's first defect, and the
+    size of the last segment's torn tail.  Each broken rule is passed
+    to ``problem`` as one line of text; :func:`replay_wal` raises on
+    the first, :func:`verify_wal_dir` collects them all.
+    """
+    out = []
+    segments = wal_segments(directory)
+    expect: Optional[int] = None  # the seq the next record must carry
+    for path in segments:
+        name = os.path.basename(path)
+        with open(path, "rb") as f:
+            records, defect, torn = _decode_segment(f.read())
+        if defect is not None and (path != segments[-1] or not torn):
+            problem(f"{name} {defect}")
+            torn = 0
+        first = _segment_seq(path)
+        if expect is not None and first != expect:
+            problem(f"sequence gap: {name} follows record {expect - 1}")
+        if records and records[0].seq != first:
+            problem(
+                f"{name} starts at seq {records[0].seq}, its name promises "
+                f"{first}"
+                + (
+                    f" — records {first}..{records[0].seq - 1} are gone; "
+                    f"acknowledged operations missing"
+                    if records[0].seq > first
+                    else ""
+                )
+            )
+        for prev, rec in zip(records, records[1:]):
+            if rec.seq != prev.seq + 1:
+                problem(
+                    f"sequence gap: record {rec.seq} follows {prev.seq} in {name}"
+                )
+        expect = records[-1].seq + 1 if records else first
+        out.append((path, records, torn))
+    return out
+
+
+def _resume_seq(segments: list[str], last_seq: Optional[int]) -> int:
+    """The resume rule: the sequence number the log's next record gets.
+
+    One past the last record on disk, and never below the live
+    segment's name.  A write refused right after rotation leaves the
+    new segment empty, and a checkpoint may then prune every older
+    one: the name is all that still says where the log stands.
+    """
+    live = _segment_seq(segments[-1]) if segments else 1
+    return max(live, (last_seq or 0) + 1)
+
+
+def _refuse(text: str) -> None:
+    raise WalCorruptionError(text)
+
+
+def read_segment(path: str) -> tuple[list[WalRecord], int]:
+    """Decode one segment file; any defect raises :class:`WalCorruptionError`.
+
+    Returns ``(records, valid_bytes)`` where ``valid_bytes`` is the
+    size of the file, every byte of which decoded.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    records, defect, _ = _decode_segment(data)
+    if defect is not None:
+        _refuse(f"{os.path.basename(path)} {defect}")
+    return records, len(data)
 
 
 def replay_wal(
@@ -223,31 +333,17 @@ def replay_wal(
     """All records with ``seq > after_seq``, in order.
 
     Returns ``(records, torn_bytes)``.  Only the *last* segment may end
-    in a torn tail (``torn_bytes`` counts the discarded bytes); a defect
-    in any earlier segment raises :class:`WalCorruptionError`, as does a
-    gap in the sequence numbers.  Opening a :class:`WriteAheadLog` runs
+    in a torn tail (``torn_bytes`` counts the discarded bytes); any
+    other defect the module's rule set names raises
+    :class:`WalCorruptionError`.  Opening a :class:`WriteAheadLog` runs
     this once over the whole log, and recovery replays what it found
     (:meth:`WriteAheadLog.take_records`) rather than reading it again.
     """
-    segments = wal_segments(directory)
-    out: list[WalRecord] = []
-    torn = 0
-    last_seq: Optional[int] = None
-    for i, path in enumerate(segments):
-        tail = i == len(segments) - 1
-        records, valid = read_segment(path, tolerate_tail=tail)
-        if tail:
-            torn = os.path.getsize(path) - valid
-        for rec in records:
-            if last_seq is not None and rec.seq != last_seq + 1:
-                raise WalCorruptionError(
-                    f"sequence gap: record {rec.seq} follows {last_seq} "
-                    f"in {os.path.basename(path)}"
-                )
-            last_seq = rec.seq
-            if rec.seq > after_seq:
-                out.append(rec)
-    return out, torn
+    segments = _scan(directory, _refuse)
+    records = [
+        rec for _, found, _ in segments for rec in found if rec.seq > after_seq
+    ]
+    return records, segments[-1][2] if segments else 0
 
 
 def verify_wal_dir(directory: str) -> dict:
@@ -255,14 +351,19 @@ def verify_wal_dir(directory: str) -> dict:
 
     Audits everything recovery would rely on, without booting anything:
 
-    - every segment record's CRC and newline termination (a torn tail
-      on the **last** segment is reported, not flagged — recovery
-      truncates it by design; torn bytes anywhere else are corruption);
-    - sequence continuity across the whole log (gaps mean acknowledged
-      operations are gone);
-    - each checkpoint file parses and passes the schema-version gate;
+    - every rule of the module's scanner, over every segment: CRCs and
+      newlines (a torn tail on the **last** segment is reported, not
+      flagged — reopening the log truncates it by design), sequence
+      continuity, and each segment's first record against its name;
+    - each checkpoint file passes :func:`~repro.service.snapshot.read_checkpoint`
+      (it parses and passes the schema-version gate);
     - the newest loadable checkpoint is actually covered by the log
-      (the first surviving record must not start past ``wal_seq + 1``);
+      (the first surviving record, or the resume point of a log with
+      none, must not start past ``wal_seq + 1``);
+    - the log resumes past that checkpoint: ``resume_seq`` is where
+      the log numbers its next record (:func:`_resume_seq`), and a log
+      resuming at or below the checkpoint's ``wal_seq`` has lost what
+      was logged after it, or numbered it as covered;
     - the MANIFEST, when present, is well-formed and its recorded
       ``fingerprint`` matches a recomputation over its ``engine``
       config (bit rot in the identity card would otherwise surface as
@@ -279,9 +380,10 @@ def verify_wal_dir(directory: str) -> dict:
         "records": 0,
         "first_seq": None,
         "last_seq": None,
+        "resume_seq": 1,
         "torn_tail_bytes": 0,
         "checkpoints": [],
-        "manifest": None,
+        "manifest": {"present": False, "fingerprint_ok": None},
         "errors": [],
     }
 
@@ -293,124 +395,59 @@ def verify_wal_dir(directory: str) -> dict:
         problem(f"{directory} is not a directory")
         return report
 
-    # -- segments: CRCs, torn tails, sequence continuity ---------------------
-    segments = wal_segments(directory)
-    last_seq: Optional[int] = None
-    for i, path in enumerate(segments):
-        tail = i == len(segments) - 1
-        name = os.path.basename(path)
-        entry: dict[str, Any] = {
-            "file": name,
-            "records": 0,
-            "first_seq": None,
-            "last_seq": None,
-            "torn_bytes": 0,
-        }
-        report["segments"].append(entry)
-        with open(path, "rb") as f:
-            data = f.read()
-        # decode every line independently (read_segment stops at the
-        # first defect; an audit wants the whole picture) so a CRC-bad
-        # record *between* intact ones is distinguishable from a
-        # genuinely torn tail
-        decoded: list[tuple[int, WalRecord]] = []
-        first_bad: Optional[int] = None
-        first_bad_error = ""
-        offset = 0
-        while offset < len(data):
-            end = data.find(b"\n", offset)
-            chunk = data[offset:] if end < 0 else data[offset : end + 1]
-            try:
-                decoded.append((offset, _decode(chunk)))
-            except (ValueError, UnicodeDecodeError) as exc:
-                if first_bad is None:
-                    first_bad = offset
-                    first_bad_error = str(exc)
-            offset += len(chunk)
-        intact_after_bad = first_bad is not None and any(
-            off > first_bad for off, _ in decoded
+    # -- segments: the scanner's rules, and what recovery would replay -------
+    segments = _scan(directory, problem)
+    for path, records, torn in segments:
+        report["segments"].append({
+            "file": os.path.basename(path),
+            "records": len(records),
+            "first_seq": records[0].seq if records else None,
+            "last_seq": records[-1].seq if records else None,
+            "torn_bytes": torn,
+        })
+    found = [rec for _, records, _ in segments for rec in records]
+    if found:
+        report.update(
+            records=len(found), first_seq=found[0].seq, last_seq=found[-1].seq
         )
-        if first_bad is not None:
-            if tail and not intact_after_bad:
-                # undecodable suffix of the last segment: the torn-write
-                # crash window recovery truncates by design
-                entry["torn_bytes"] = len(data) - first_bad
-                report["torn_tail_bytes"] = entry["torn_bytes"]
-            else:
-                problem(
-                    f"{name} at byte {first_bad}: {first_bad_error}"
-                    + (
-                        " — intact records follow, so this is mid-log "
-                        "corruption, not a torn tail"
-                        if intact_after_bad
-                        else ""
-                    )
-                )
-        # account what recovery would actually replay: records up to
-        # the first defect
-        records = [
-            rec
-            for off, rec in decoded
-            if first_bad is None or off < first_bad
-        ]
-        entry["records"] = len(records)
-        if records:
-            entry["first_seq"] = records[0].seq
-            entry["last_seq"] = records[-1].seq
-            if report["first_seq"] is None:
-                report["first_seq"] = records[0].seq
-            report["last_seq"] = records[-1].seq
-            report["records"] += len(records)
-        # a segment's filename promises its first record's sequence
-        expected_first = int(name[len(SEGMENT_PREFIX) : -len(SEGMENT_SUFFIX)])
-        if records and records[0].seq != expected_first:
-            problem(
-                f"{name} starts at seq {records[0].seq}, "
-                f"its name promises {expected_first}"
-            )
-        for rec in records:
-            if last_seq is not None and rec.seq != last_seq + 1:
-                problem(
-                    f"sequence gap: record {rec.seq} follows {last_seq} "
-                    f"in {name}"
-                )
-            last_seq = rec.seq
+    if segments:
+        report["torn_tail_bytes"] = segments[-1][2]
+    report["resume_seq"] = _resume_seq(
+        [path for path, _, _ in segments], report["last_seq"]
+    )
 
-    # -- checkpoints: parseable, version-gated, covered by the log -----------
-    from .snapshot import check_version  # deferred: snapshot imports engine
+    # -- checkpoints: loadable, covered by the log, behind its resume point --
+    # deferred: snapshot imports the engine
+    from .snapshot import config_fingerprint, read_checkpoint
 
     newest_good_seq: Optional[int] = None
-    checkpoint_names = sorted(
-        n
-        for n in os.listdir(directory)
-        if n.startswith("checkpoint-") and n.endswith(".json")
-    )
-    for name in checkpoint_names:
-        path = os.path.join(directory, name)
+    for path in checkpoint_files(directory):
+        name = os.path.basename(path)
         entry = {"file": name, "ok": False, "wal_seq": None}
         report["checkpoints"].append(entry)
         try:
-            with open(path) as f:
-                doc = json.load(f)
-            if not isinstance(doc, dict):
-                raise ValueError("checkpoint is not a JSON object")
-            check_version(doc.get("version"))
-            entry["wal_seq"] = int(doc["wal_seq"])
+            entry["wal_seq"] = int(read_checkpoint(path)["wal_seq"])
         except (OSError, ValueError, KeyError, TypeError) as exc:
             problem(f"unreadable checkpoint {name}: {exc}")
             continue
         entry["ok"] = True
         newest_good_seq = entry["wal_seq"]
-    if (
-        newest_good_seq is not None
-        and report["first_seq"] is not None
-        and report["first_seq"] > newest_good_seq + 1
-    ):
-        problem(
-            f"log coverage gap: first surviving record is seq "
-            f"{report['first_seq']} but the newest loadable checkpoint "
-            f"only covers through seq {newest_good_seq}"
-        )
+    if newest_good_seq is not None:
+        # an empty log starts where it resumes
+        start = report["first_seq"] or report["resume_seq"]
+        if start > newest_good_seq + 1:
+            problem(
+                f"log coverage gap: first surviving record is seq "
+                f"{start} but the newest loadable checkpoint "
+                f"only covers through seq {newest_good_seq}"
+            )
+        if report["resume_seq"] <= newest_good_seq:
+            problem(
+                f"log resumes at seq {report['resume_seq']}, at or below "
+                f"the newest loadable checkpoint's wal_seq {newest_good_seq}: "
+                f"what was logged after that checkpoint is missing or "
+                f"numbered as covered by it"
+            )
 
     # -- MANIFEST: well-formed, fingerprint self-consistent ------------------
     try:
@@ -424,8 +461,6 @@ def verify_wal_dir(directory: str) -> dict:
         recorded = manifest.get("fingerprint")
         config = manifest.get("engine")
         if recorded is not None and isinstance(config, dict):
-            from .snapshot import config_fingerprint
-
             entry["fingerprint_ok"] = config_fingerprint(config) == recorded
             if not entry["fingerprint_ok"]:
                 problem(
@@ -433,8 +468,6 @@ def verify_wal_dir(directory: str) -> dict:
                     f"own engine config (recomputed "
                     f"{config_fingerprint(config)!r})"
                 )
-    elif report["manifest"] is None:
-        report["manifest"] = {"present": False, "fingerprint_ok": None}
     return report
 
 
@@ -504,29 +537,46 @@ class WriteAheadLog:
         """
         segments = wal_segments(self.directory)
         self._found, torn = replay_wal(self.directory)
-        if self._found:
-            self.last_seq = self._found[-1].seq
+        self.last_seq = _resume_seq(
+            segments, self._found[-1].seq if self._found else None
+        ) - 1
+        if not segments:
+            self._start_segment(1)
+            return
         if torn:
             self.recovered_torn_bytes = torn
             with open(segments[-1], "r+b") as f:
                 f.truncate(os.path.getsize(segments[-1]) - torn)
-        if segments:
-            # unbuffered: each append is one raw write straight into the
-            # OS page cache — no userspace buffer to flush or lose
-            self._file = open(segments[-1], "ab", buffering=0)
-            self._segment_size = os.path.getsize(segments[-1])
-        else:
-            self._start_segment(1)
+        # unbuffered: each append is one raw write straight into the OS
+        # page cache — no userspace buffer to flush or lose
+        self._file = open(segments[-1], "ab", buffering=0)
+        self._segment_size = os.path.getsize(segments[-1])
 
-    def take_records(self, after_seq: int) -> list[WalRecord]:
-        """The records found on disk at open with ``seq > after_seq``.
+    def take_records(self) -> list[WalRecord]:
+        """The records found on disk at open.
 
-        What :func:`replay_wal` would return for the directory as it was
+        What :func:`replay_wal` returned for the directory as it was
         opened; the log drops its own reference, so a second call
         returns ``[]``.
         """
         found, self._found = self._found, []
-        return [rec for rec in found if rec.seq > after_seq]
+        return found
+
+    def resume_after(self, seq: int) -> None:
+        """Number the next record past ``seq``, a restored checkpoint's ``wal_seq``.
+
+        The resume rule's second half.  A log that ends below the
+        checkpoint it is recovered from (a directory holding only the
+        checkpoint) would number new records at or below ``wal_seq``,
+        and the next recovery would skip them as covered.  The log
+        continues instead in a segment named ``seq + 1``, and the
+        segments the checkpoint covers are pruned.
+        """
+        if seq <= self.last_seq:
+            return
+        self.last_seq = seq
+        self._start_segment(seq + 1)
+        self.prune(seq)
 
     def _start_segment(self, first_seq: int) -> None:
         with self._fd_lock:
@@ -548,38 +598,8 @@ class WriteAheadLog:
         injected/real ``OSError`` nothing is logged and the caller must
         *not* apply the operation.
         """
-        if self._file is None:
-            raise WalError("write-ahead log is closed")
         seq = self.last_seq + 1
-        data = _encode(seq, payload)
-        if self._segment_size > 0 and self._segment_size + len(data) > self.segment_bytes:
-            self._start_segment(seq)
-        if self.io_hook is not None:
-            if self.io_hook("write", seq) == "tear":
-                # simulate a crash mid-write: half the record reaches
-                # the disk, then the process dies (the hook's kill
-                # fires below)
-                self._file.write(data[: max(1, len(data) // 2)])
-                self.io_hook("torn", seq)
-                raise WalError(f"torn write injected at record {seq}")
-        self._file.write(data)
-        self.last_seq = seq
-        self.records_written += 1
-        self.bytes_written += len(data)
-        self._segment_size += len(data)
-        self._unsynced += 1
-        if self.fsync == "always":
-            self._flush(force=True)
-        elif self.fsync == "interval" and self._unsynced >= self.fsync_every:
-            if self._flusher is None:
-                # started lazily: a log that never accumulates an
-                # interval's worth of records never needs the thread
-                self._flusher = threading.Thread(
-                    target=self._flusher_loop, name="wal-fsync", daemon=True
-                )
-                self._flusher.start()
-            self._fsync_due.set()
-        return seq
+        return self._write(seq, 1, _encode(seq, payload))
 
     def append_many(self, payloads) -> list[int]:
         """Durably record a batch of operations; returns their sequences.
@@ -592,53 +612,73 @@ class WriteAheadLog:
         The record bytes on disk are identical to the same payloads
         appended one at a time (rotation happens on batch boundaries
         rather than mid-batch, so only segment *placement* can differ).
+        An ``OSError`` refuses the batch atomically — nothing is
+        logged, the caller must not apply any of it.
+        """
+        first = self.last_seq + 1
+        data = b"".join(
+            [_encode(first + i, payload) for i, payload in enumerate(payloads)]
+        )
+        return list(range(first, self._write(first, len(payloads), data) + 1))
 
-        Fault semantics (the ``io_hook`` seam): every injected fault is
-        resolved *before* any byte is written, so an injected ``OSError``
-        refuses the batch atomically — nothing is logged, the caller
-        must not apply any of it.  A ``"tear"`` at record *k* writes
-        records ``0..k-1`` whole plus half of record *k* and then dies,
-        exactly the crash window a torn single append leaves behind.
+    def _write(self, first: int, n: int, data: bytes) -> int:
+        """The one write body: ``n`` encoded records, one line each, in one write.
+
+        Returns the last sequence number written.
+
+        Fault semantics (the ``io_hook`` seam): the hook is consulted
+        once per record before any byte is written, so an injected
+        ``OSError`` refuses the whole write.  A ``"tear"`` at record *k*
+        writes records ``0..k-1`` whole plus half of record *k* and
+        then dies — the crash window recovery must survive.  A short
+        write (a full disk stores part of the buffer) is truncated
+        away and refused with ``OSError``, ``last_seq`` unchanged: an
+        acknowledged record must never sit behind a partial one.
         """
         if self._file is None:
             raise WalError("write-ahead log is closed")
-        if not payloads:
-            return []
-        first = self.last_seq + 1
-        blobs = [_encode(first + i, payload) for i, payload in enumerate(payloads)]
-        total = sum(len(b) for b in blobs)
-        if self._segment_size > 0 and self._segment_size + total > self.segment_bytes:
+        if not n:
+            return self.last_seq
+        size = len(data)
+        if self._segment_size > 0 and self._segment_size + size > self.segment_bytes:
             self._start_segment(first)
         if self.io_hook is not None:
-            tear_at = None
-            for i in range(len(blobs)):
+            for i in range(n):
                 if self.io_hook("write", first + i) == "tear":
-                    tear_at = i
-                    break
-            if tear_at is not None:
-                torn = blobs[tear_at]
-                self._file.write(
-                    b"".join(blobs[:tear_at]) + torn[: max(1, len(torn) // 2)]
-                )
-                self.io_hook("torn", first + tear_at)
-                raise WalError(f"torn write injected at record {first + tear_at}")
-        data = b"".join(blobs)
-        self._file.write(data)
-        self.last_seq = first + len(blobs) - 1
-        self.records_written += len(blobs)
-        self.bytes_written += len(data)
-        self._segment_size += len(data)
-        self._unsynced += len(blobs)
+                    # simulate a crash mid-write: the records before this
+                    # one and half of it reach the disk, then the process
+                    # dies (the hook's kill fires below)
+                    lines = data.split(b"\n")  # one record per line
+                    whole = sum(len(line) + 1 for line in lines[:i])
+                    self._file.write(
+                        data[: whole + max(1, (len(lines[i]) + 1) // 2)]
+                    )
+                    self.io_hook("torn", first + i)
+                    raise WalError(f"torn write injected at record {first + i}")
+        written = self._file.write(data)
+        if written != size:
+            self._file.truncate(self._segment_size)
+            raise OSError(
+                f"short write: {written} of {size} bytes for records "
+                f"{first}..{first + n - 1}; truncated and refused"
+            )
+        self.last_seq = first + n - 1
+        self.records_written += n
+        self.bytes_written += size
+        self._segment_size += size
+        self._unsynced += n
         if self.fsync == "always":
             self._flush(force=True)
         elif self.fsync == "interval" and self._unsynced >= self.fsync_every:
             if self._flusher is None:
+                # started lazily: a log that never accumulates an
+                # interval's worth of records never needs the thread
                 self._flusher = threading.Thread(
                     target=self._flusher_loop, name="wal-fsync", daemon=True
                 )
                 self._flusher.start()
             self._fsync_due.set()
-        return list(range(first, self.last_seq + 1))
+        return self.last_seq
 
     def _flush(self, force: bool) -> None:
         assert self._file is not None
@@ -690,9 +730,7 @@ class WriteAheadLog:
         segments = wal_segments(self.directory)
         removed = 0
         for path, nxt in zip(segments, segments[1:]):
-            name = os.path.basename(nxt)
-            first_of_next = int(name[len(SEGMENT_PREFIX) : -len(SEGMENT_SUFFIX)])
-            if first_of_next <= upto_seq + 1:
+            if _segment_seq(nxt) <= upto_seq + 1:
                 os.remove(path)
                 removed += 1
             else:

@@ -441,3 +441,119 @@ def test_dedup_window_is_bounded():
     assert window.get("r4") == {"n": 4}
     with pytest.raises(ValueError):
         DedupWindow(limit=0)
+
+
+# -- the resume rule ------------------------------------------------------------
+def _ff_engine(capacity):
+    return lambda: StreamingEngine.scalar(
+        make_algorithm("first-fit"), capacity=capacity
+    )
+
+
+def test_refused_write_after_rotation_keeps_the_sequence(tmp_path):
+    """A disk-full refusal right after rotation leaves the live segment
+    empty; a checkpoint then prunes every older one.  The log must still
+    number the next record past the checkpoint, or the next recovery
+    skips the acknowledged jobs as covered."""
+    from repro.service.wal import wal_segments
+
+    directory = str(tmp_path)
+    capacity, ops = scalar_ops(n=20, seed=7)
+    items = [arg for kind, arg in ops if kind == "submit"]
+    refused = []
+
+    def disk_full_after_rotation(op, seq):
+        if op == "write" and not refused and len(wal_segments(directory)) > 1:
+            refused.append(seq)
+            raise OSError("no space left on device")
+
+    wal = WriteAheadLog(
+        directory, fsync="never", segment_bytes=300,
+        io_hook=disk_full_after_rotation,
+    )
+    durable = DurableEngine(_ff_engine(capacity)(), wal, checkpoint_every=1000)
+    for k, item in enumerate(items):
+        try:
+            durable.submit(item)
+        except OSError:
+            break
+    assert refused, "the log never rotated"
+    durable.checkpoint_now()
+    durable.close()
+
+    recovered, _ = recover(directory, engine_builder=_ff_engine(capacity), fsync="never")
+    late = items[k : k + 3]
+    for item in late:
+        recovered.submit(item)
+    recovered.close()
+
+    again, report = recover(directory, engine_builder=_ff_engine(capacity), fsync="never")
+    assert report.replayed == 3
+    for item in late:
+        assert item.item_id in again.engine.state.item_bin
+    again.close()
+
+
+def _checkpoint_only_dir(tmp_path, capacity, items):
+    """A directory holding nothing but ``checkpoint-0000000010.json``."""
+    import shutil
+
+    source = str(tmp_path / "source")
+    wal = WriteAheadLog(source, fsync="never")
+    durable = DurableEngine(_ff_engine(capacity)(), wal, checkpoint_every=1000)
+    for item in items[:10]:
+        durable.submit(item)
+    path = durable.checkpoint_now()
+    durable.close()
+    assert os.path.basename(path) == f"{CHECKPOINT_PREFIX}{10:010d}{CHECKPOINT_SUFFIX}"
+    target = tmp_path / "only-checkpoint"
+    target.mkdir()
+    shutil.copy(path, target)
+    return str(target)
+
+
+def test_log_continues_past_a_checkpoint_it_does_not_reach(tmp_path):
+    capacity, ops = scalar_ops(n=20, seed=7)
+    items = [arg for kind, arg in ops if kind == "submit"]
+    directory = _checkpoint_only_dir(tmp_path, capacity, items)
+
+    recovered, report = recover(directory, engine_builder=_ff_engine(capacity), fsync="never")
+    assert report.checkpoint_seq == 10 and report.last_seq == 10
+    for item in items[10:13]:
+        recovered.submit(item)
+    recovered.close()
+
+    again, report = recover(directory, engine_builder=_ff_engine(capacity), fsync="never")
+    assert report.replayed == 3
+    for item in items[:13]:
+        assert item.item_id in again.engine.state.item_bin
+    again.close()
+
+
+def test_wal_verify_flags_a_log_resuming_below_its_checkpoint(tmp_path, capsys):
+    """The directory a log that restarted at seq 1 leaves behind: the
+    checkpoint covers seq 10, and three acknowledged submits sit in the
+    log as seqs 1-3, numbered as covered.  Verify flags it, and recovery
+    refuses it rather than skip them."""
+    from repro.cli import main as cli_main
+    from repro.service.wal import WalCorruptionError, verify_wal_dir
+
+    capacity, ops = scalar_ops(n=20, seed=7)
+    items = [arg for kind, arg in ops if kind == "submit"]
+    directory = _checkpoint_only_dir(tmp_path, capacity, items)
+    wal = WriteAheadLog(directory, fsync="never")
+    durable = DurableEngine(_ff_engine(capacity)(), wal, checkpoint_every=1000)
+    for item in items[10:13]:
+        durable.submit(item)
+    durable.close()
+
+    report = verify_wal_dir(directory)
+    assert not report["ok"]
+    assert report["resume_seq"] == 4
+    assert any("resumes at seq 4" in e for e in report["errors"]), report["errors"]
+    assert cli_main(["wal", "verify", directory]) == 1
+    assert "resumes at seq 4" in capsys.readouterr().out
+    on_disk = sorted(os.listdir(directory))
+    with pytest.raises(WalCorruptionError, match="ends at seq 3"):
+        recover(directory, engine_builder=_ff_engine(capacity), fsync="never")
+    assert sorted(os.listdir(directory)) == on_disk

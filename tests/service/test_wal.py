@@ -235,6 +235,71 @@ def test_append_many_bytes_equal_sequential_appends(tmp_path):
     assert [r.payload for r in records] == payloads
 
 
+class _ShortWrite:
+    """A segment file on a full disk: its first write stores half the bytes."""
+
+    def __init__(self, f):
+        self._f = f
+        self.short = True
+
+    def write(self, data):
+        if self.short:
+            self.short = False
+            return self._f.write(data[: len(data) // 2])
+        return self._f.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+
+def test_short_write_is_refused_and_truncated(tmp_path):
+    """A short count from the unbuffered write is a refusal, not an ack:
+    the partial record is truncated away and the log numbers on."""
+    wal = WriteAheadLog(str(tmp_path), fsync="never")
+    acked, refused = [], 0
+    for i in range(8):
+        if i == 3:
+            wal._file = _ShortWrite(wal._file)
+        try:
+            acked.append(wal.append({"op": "advance", "now": float(i)}))
+        except OSError:
+            refused += 1
+    wal.close()
+    assert refused == 1
+    records, torn = replay_wal(str(tmp_path))
+    assert torn == 0
+    assert [r.seq for r in records] == acked == list(range(1, 8))
+
+
+@pytest.mark.parametrize("defect", ["bit flip", "renamed segment"])
+def test_reopen_refuses_what_is_not_a_torn_tail(tmp_path, defect):
+    """Opening the log truncates only an undecodable suffix of the last
+    segment; a defect with intact records after it, or a segment whose
+    first record is not the one its name promises, is refused."""
+    wal = WriteAheadLog(str(tmp_path), fsync="never")
+    for i in range(10):
+        wal.append({"op": "advance", "now": float(i)})
+    wal.close()
+    seg = wal_segments(str(tmp_path))[0]
+    if defect == "bit flip":
+        lines = open(seg, "rb").readlines()
+        data = bytearray(b"".join(lines))
+        data[sum(map(len, lines[:4])) + len(lines[4]) // 2] ^= 0x01  # record 5
+        with open(seg, "wb") as f:
+            f.write(data)
+        match = "mid-log corruption"
+    else:
+        os.rename(seg, os.path.join(str(tmp_path), "wal-0000000003.log"))
+        match = "its name promises 3"
+    on_disk = [open(p, "rb").read() for p in wal_segments(str(tmp_path))]
+    with pytest.raises(WalCorruptionError, match=match):
+        WriteAheadLog(str(tmp_path), fsync="never")
+    assert [open(p, "rb").read() for p in wal_segments(str(tmp_path))] == on_disk
+    report = verify_wal_dir(str(tmp_path))
+    assert not report["ok"]
+    assert any(match in e for e in report["errors"]), report["errors"]
+
+
 # -- offline verification (`repro wal verify`) --------------------------------
 def _filled_wal(directory, n=12, segment_bytes=None):
     kwargs = {"fsync": "never"}
@@ -366,3 +431,10 @@ def test_wal_verify_cli_exit_codes(tmp_path, capsys):
         f.write(data)
     assert cli_main(["wal", "verify", str(tmp_path)]) == 1
     assert "problem" in capsys.readouterr().out
+
+
+def test_wal_verify_cli_on_a_missing_directory(tmp_path, capsys):
+    from repro.cli import main as cli_main
+
+    assert cli_main(["wal", "verify", str(tmp_path / "absent")]) == 1
+    assert "is not a directory" in capsys.readouterr().out
