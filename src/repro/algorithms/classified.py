@@ -136,8 +136,13 @@ class ClassifiedNextFit(ClassifiedAlgorithm):
     ) -> Optional[Bin]:
         avail_idx = self._available.get(cls)
         if avail_idx is not None:
+            # a closed bin the streaming engine has dropped reads as None
             b = state.bins[avail_idx]
-            if b.is_open and b.level + size <= b.capacity + CAPACITY_EPS:
+            if (
+                b is not None
+                and b.is_open
+                and b.level + size <= b.capacity + CAPACITY_EPS
+            ):
                 return b
         self._available[cls] = None
         return None

@@ -82,7 +82,8 @@ class BasePackingState:
 
     def __init__(self, indexed: bool = True):
         self.now: float = 0.0
-        #: all bins ever opened, by index
+        #: all bins ever opened, by index (the streaming engine, which
+        #: keeps only live state, leaves ``None`` where a bin closed)
         self.bins: list = []
         #: currently open bins keyed by index; insertion order == opening
         #: order == increasing index, and deletion preserves it, so the

@@ -2,8 +2,8 @@
 
 Everything below this package serves *streams*, not materialised
 instances: a push-based :class:`StreamingEngine` bit-identical to the
-batch engines on any replayed trace, checkpoint/restore of the full
-packing state, admission control with per-policy accounting, a metrics
+batch engines on any replayed trace that keeps only live state,
+checkpoint/restore of that state, admission control with per-policy accounting, a metrics
 registry with Prometheus text exposition, a per-decision trace log, and
 an asyncio server with a matching load generator (``repro serve`` /
 ``repro loadgen``).  The server speaks JSON lines by default and
@@ -42,7 +42,7 @@ __all__ = lazy_exports(
             "OpenServerBudget",
             "make_admission_policy",
         ),
-        "engine": ("Placement", "StreamingEngine"),
+        "engine": ("Placement", "StreamResult", "StreamingEngine"),
         "faults": ("FaultInjected", "FaultInjector", "FaultPlan", "KillPoint"),
         "fleet": ("FleetSupervisor",),
         "loadgen": (

@@ -12,8 +12,9 @@ with unknown departures and must be placed immediately (Section I).
 - :meth:`advance` — move the service clock forward, applying every
   scheduled departure on the way and retrying queued jobs as capacity
   frees up;
-- :meth:`finish` — drain the stream and return the same result object
-  the batch engines produce.
+- :meth:`finish` — drain the stream and return its
+  :class:`StreamResult`: the item→bin map, the bin count and the
+  objective, equal to what the batch engines report.
 
 It is layered on the unified driver's incremental stepper
 (:class:`~repro.core.driver.EventStepper`) over the same packing states
@@ -26,6 +27,13 @@ same usage time, on the indexed and reference paths alike (pinned by
 Ordering semantics match the batch driver exactly: events apply in time
 order, departures before arrivals at equal times (half-open intervals),
 ties within a kind in submission order.
+
+The engine keeps only live state.  A bin that closes is handed to
+:attr:`StreamingEngine.bin_closed_callbacks` (the one way a caller sees
+closed bins), then leaves the state: its usage time joins a running
+total and its slot in ``state.bins`` becomes ``None``.  What stays per
+job is one ``item_bin`` entry — the placement record the duplicate-id
+refusal and the recovery oracles read.
 """
 
 from __future__ import annotations
@@ -35,8 +43,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..core.driver import EventStepper, Observer
-from ..core.items import Item, ItemList
-from ..core.result import PackingResult
 from ..core.state import PackingState
 from .admission import ADMIT, QUEUE, AdmissionPolicy, AdmitAll
 from .metrics import (
@@ -46,7 +52,7 @@ from .metrics import (
     MetricsRegistry,
 )
 
-__all__ = ["Placement", "StreamingEngine"]
+__all__ = ["Placement", "StreamResult", "StreamingEngine"]
 
 #: Placement actions, as they appear in responses and the decision log.
 PLACED = "placed"
@@ -91,6 +97,24 @@ class Placement:
         )
 
 
+@dataclass(frozen=True)
+class StreamResult:
+    """What a drained stream produced, as the batch results report it.
+
+    ``total_usage_time`` is bit-identical to the batch engines'
+    ``sum(b.usage_time for b in bins)``; the bins themselves went to
+    :attr:`StreamingEngine.bin_closed_callbacks` as they closed.
+    ``item_bin`` is the engine's own map, not a copy: it is the largest
+    thing a drained engine holds, and a submit after the drain adds to
+    it.
+    """
+
+    item_bin: dict[int, int]
+    num_bins: int
+    total_usage_time: float
+    algorithm_name: str
+
+
 class StreamingEngine:
     """Push-based online packing over the unified driver state machinery.
 
@@ -121,7 +145,6 @@ class StreamingEngine:
         metrics: Optional[MetricsRegistry] = None,
         decision_log: Optional[DecisionLog] = None,
         observers: Sequence[Observer] = (),
-        result_factory: Optional[Callable] = None,
     ):
         self.algorithm = algorithm
         self.state = state
@@ -130,10 +153,17 @@ class StreamingEngine:
         self.decision_log = decision_log
         self._stepper = EventStepper(algorithm, state, observers, hook_base)
         self._stepper.migration_hook = self._on_migration
-        self._result_factory = result_factory
-        #: callbacks invoked with each bin the moment it closes (the
-        #: cloud layer bills servers on this hook)
+        #: callbacks invoked with each bin the moment it closes, before
+        #: the engine drops it (the cloud layer bills servers on this
+        #: hook); the only way a caller sees a closed bin
         self.bin_closed_callbacks: list[Callable] = []
+        #: the objective over closed bins, folded left to right in bin
+        #: index order: ``_usage_total`` sums bins ``0 .. _usage_next - 1``;
+        #: a bin that closes while an older one is open waits in
+        #: ``_usage_waiting`` (index -> usage time) until it is its turn
+        self._usage_total = 0.0
+        self._usage_next = 0
+        self._usage_waiting: dict[int, float] = {}
         #: migration accounting (live regardless of the metrics registry;
         #: checkpointed and restored by repro.service.snapshot)
         self.migrations = 0
@@ -143,15 +173,15 @@ class StreamingEngine:
         #: service clock: the time of the last applied event
         self.clock: float = 0.0
         self._started = False  # clock is meaningless until the first event
-        #: scheduled departures: heap of (time, seq, item)
+        #: scheduled departures: heap of (time, seq, item); an entry
+        #: whose item is no longer active is skipped lazily
         self._pending: list[tuple[float, int, object]] = []
-        self._departed: set[int] = set()  # lazy deletion for the heap
         #: admission queue (FIFO): (submit_time, seq, item)
         self._queue: list[tuple[float, int, object]] = []
         self._seq = 0
-        #: items placed, in placement order (builds the result instance)
-        self._placed_items: list = []
-        self._active: dict[int, object] = {}  # item_id -> item, placed & not departed
+        #: item_id -> item, placed & not departed; a job has departed iff
+        #: it is in ``state.item_bin`` and not here
+        self._active: dict[int, object] = {}
 
         # metric objects resolved once at declaration: the submit path
         # touches half a dozen of them per job, and two dict lookups
@@ -193,23 +223,7 @@ class StreamingEngine:
 
         if state is None:
             state = PackingState(capacity=capacity, indexed=indexed)
-        capacity = state.capacity
-
-        def result(items, bins, name, item_bin):
-            return PackingResult(
-                items=ItemList(items, capacity=capacity),
-                bins=bins,
-                algorithm_name=name,
-                item_bin=item_bin,
-            )
-
-        return cls(
-            algorithm,
-            state,
-            hook_base=PackingAlgorithm,
-            result_factory=result,
-            **kwargs,
-        )
+        return cls(algorithm, state, hook_base=PackingAlgorithm, **kwargs)
 
     @classmethod
     def vector(
@@ -222,28 +236,11 @@ class StreamingEngine:
     ) -> "StreamingEngine":
         """A streaming engine over the multi-dimensional packing state."""
         from ..multidim.algorithms import VectorAlgorithm
-        from ..multidim.items import VectorItemList
-        from ..multidim.packing import VectorPackingResult
         from ..multidim.state import VectorPackingState
 
         if state is None:
             state = VectorPackingState(capacity=capacity, indexed=indexed)
-
-        def result(items, bins, name, item_bin):
-            return VectorPackingResult(
-                items=VectorItemList(items, capacity=state.capacity),
-                bins=bins,
-                algorithm_name=name,
-                item_bin=item_bin,
-            )
-
-        return cls(
-            algorithm,
-            state,
-            hook_base=VectorAlgorithm,
-            result_factory=result,
-            **kwargs,
-        )
+        return cls(algorithm, state, hook_base=VectorAlgorithm, **kwargs)
 
     # -- views ----------------------------------------------------------------
     def can_fit(self, item) -> bool:
@@ -270,9 +267,8 @@ class StreamingEngine:
 
     @property
     def pending_departures(self) -> int:
-        return sum(
-            1 for _, _, it in self._pending if it.item_id not in self._departed
-        )
+        active = self._active
+        return sum(1 for _, _, it in self._pending if it.item_id in active)
 
     def stats(self) -> dict:
         """A light status snapshot for the service's ``stats`` op."""
@@ -280,7 +276,7 @@ class StreamingEngine:
             "clock": self.clock,
             "open_bins": self.state.num_open,
             "bins_used": self.state.num_bins_used,
-            "placed": len(self._placed_items),
+            "placed": len(self.state.item_bin),
             "active": len(self._active),
             "queue_depth": self.queue_depth,
             "pending_departures": self.pending_departures,
@@ -377,18 +373,19 @@ class StreamingEngine:
         live-operation path: a client that submitted with
         ``schedule_departure=False`` announces departures itself.
 
-        Idempotent against the scheduler: if the item's *scheduled*
-        departure already fired (or fires during the drain below —
-        which is guaranteed when ``now`` defaults to the recorded
-        departure time and the submit scheduled it), the explicit
-        depart is a no-op rather than a double-apply.  Trace replay
-        leans on this: the load generator announces every departure to
-        a server that also schedules them.
+        Idempotent against the scheduler: if the item has already
+        departed (its *scheduled* departure fired, or it fires during
+        the drain below — which is guaranteed when ``now`` defaults to
+        the recorded departure time and the submit scheduled it), the
+        explicit depart is a no-op rather than a double-apply.  Trace
+        replay leans on this: the load generator announces every
+        departure to a server that also schedules them.  An id that was
+        never placed raises :class:`KeyError`.
         """
         item = self._active.get(item_id)
         if item is None:
-            if item_id in self._departed:
-                return  # scheduled departure already applied
+            if item_id in self.state.item_bin:
+                return  # placed, and no longer active: already departed
             raise KeyError(f"item {item_id} is not active in the service")
         when = item.departure if now is None else now
         if self._started and when < self.clock:
@@ -397,7 +394,7 @@ class StreamingEngine:
                 f"service clock {self.clock}"
             )
         self._drain_until(when)
-        if item.item_id in self._departed:
+        if item.item_id not in self._active:
             return  # the drain applied this item's scheduled departure
         self._apply_departure(when, self._next_seq(), item)
         self._retry_queue(when)
@@ -410,20 +407,19 @@ class StreamingEngine:
         """
         if self._started and now < self.clock:
             raise ValueError(f"cannot advance to {now}: clock is at {self.clock}")
-        before = len(self._departed)
-        self._drain_until(now, inclusive=True)
+        applied = self._drain_until(now, inclusive=True)
         self._set_clock(now)
         self._retry_queue(self.clock)
-        return len(self._departed) - before
+        return applied
 
-    def finish(self):
-        """Drain the stream completely and return the batch-shaped result.
+    def finish(self) -> StreamResult:
+        """Drain the stream completely and return its :class:`StreamResult`.
 
         Applies every scheduled departure, gives queued jobs their last
         chance (a job the policy still refuses on an empty fleet can
         never be placed and is dropped as shed), asserts the terminal
-        invariant, and builds the same result object the corresponding
-        batch engine returns.
+        invariant, and reports what the corresponding batch engine
+        reports: the item→bin map, the bin count and the objective.
         """
         while True:
             nxt = self._next_pending()
@@ -449,19 +445,18 @@ class StreamingEngine:
         self._stepper.finish()
         return self.result()
 
-    def result(self):
-        """The result object for everything placed so far.
+    def result(self) -> StreamResult:
+        """The result for everything placed so far.
 
-        Requires all placed items to have departed (the batch result
-        types assume closed bins); :meth:`finish` guarantees that.
+        ``total_usage_time`` covers only the bins folded so far, so it
+        is the run's objective once every placed item has departed;
+        :meth:`finish` guarantees that.
         """
-        if self._result_factory is None:
-            raise RuntimeError("engine was built without a result factory")
-        return self._result_factory(
-            list(self._placed_items),
-            tuple(self.state.bins),
-            self.algorithm.name,
-            dict(self.state.item_bin),
+        return StreamResult(
+            item_bin=self.state.item_bin,
+            num_bins=self.state.num_bins_used,
+            total_usage_time=self._usage_total,
+            algorithm_name=self.algorithm.name,
         )
 
     # -- the background defragmenter ------------------------------------------
@@ -522,8 +517,26 @@ class StreamingEngine:
                 self._m_open_bins.value = self.state.num_open
             for cb in self.bin_closed_callbacks:
                 cb(src)
+            self._fold_closed(src)
 
     # -- internals ------------------------------------------------------------
+    def _fold_closed(self, b) -> None:
+        """Fold a closed bin's usage time into the total; drop the bin.
+
+        The total must equal the batch ``sum(b.usage_time for b in
+        bins)`` bit for bit, so terms are added left to right in bin
+        index order: a bin whose elders are all folded goes in now,
+        followed by any younger bins that closed while it was open.
+        """
+        waiting = self._usage_waiting
+        waiting[b.index] = b.usage_time
+        k = self._usage_next
+        while k in waiting:
+            self._usage_total += waiting.pop(k)
+            k += 1
+        self._usage_next = k
+        self.state.bins[b.index] = None
+
     def _next_seq(self) -> int:
         seq = self._seq
         self._seq += 1
@@ -538,21 +551,23 @@ class StreamingEngine:
 
     def _next_pending(self) -> Optional[float]:
         """Time of the next live scheduled departure, skipping cancelled."""
-        while self._pending and self._pending[0][2].item_id in self._departed:
-            heapq.heappop(self._pending)
+        pending, active = self._pending, self._active
+        while pending and pending[0][2].item_id not in active:
+            heapq.heappop(pending)
         return self._pending[0][0] if self._pending else None
 
-    def _drain_until(self, bound: float, inclusive: bool = True) -> None:
-        """Apply scheduled departures with time <= ``bound``.
+    def _drain_until(self, bound: float, inclusive: bool = True) -> int:
+        """Apply scheduled departures with time <= ``bound``; returns how many.
 
         Departures at one instant are applied together (in schedule
         order) before the queue is retried at that instant, preserving
         the batch driver's departures-before-arrivals tie rule.
         """
+        applied = 0
         while True:
             nxt = self._next_pending()
             if nxt is None or (nxt > bound if inclusive else nxt >= bound):
-                return
+                return applied
             t = nxt
             while True:
                 nxt = self._next_pending()
@@ -560,13 +575,13 @@ class StreamingEngine:
                     break
                 _, seq, item = heapq.heappop(self._pending)
                 self._apply_departure(t, seq, item)
+                applied += 1
             self._retry_queue(t)
 
     def _apply_departure(self, time: float, seq: int, item) -> None:
         self._set_clock(time)
         source = self._stepper.depart(time, seq, item)
-        self._departed.add(item.item_id)
-        self._active.pop(item.item_id, None)
+        del self._active[item.item_id]
         if self._m_departures is not None:
             # direct .value stores: same values as inc()/set(), minus
             # one method call each — this runs once per departure
@@ -578,6 +593,7 @@ class StreamingEngine:
                 self._m_bins_closed.inc()
             for cb in self.bin_closed_callbacks:
                 cb(source)
+            self._fold_closed(source)
         if self.decision_log is not None:
             self._log(
                 t=time,
@@ -595,7 +611,6 @@ class StreamingEngine:
         bins_before = self.state.num_bins_used
         target = self._stepper.arrive(time, seq, item)
         new_bin = self.state.num_bins_used > bins_before
-        self._placed_items.append(item)
         self._active[item.item_id] = item
         if schedule_departure:
             heapq.heappush(self._pending, (item.departure, seq, item))

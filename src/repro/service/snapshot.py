@@ -2,13 +2,23 @@
 
 A long-lived allocation service must survive restarts without forgetting
 which jobs live on which servers.  :func:`snapshot_engine` captures the
-*entire* packing state as one JSON-serialisable document — every bin
-(open and closed, with level histories), the item→bin map, the running
-level totals, the adaptive first-fit index's **activation status**, the
-scheduled-departure heap, the admission queue and counters, the metric
-values, and the placement policy's internal state (Next Fit's available
-bin, the classified policies' class maps, seeded RNG states).
+engine's *live* state as one JSON-serialisable document: the open bins
+(with their items and level histories), the items that those bins, the
+scheduled-departure heap and the admission queue reference, the
+running level totals, the adaptive first-fit index's **activation
+status**, the usage-time fold and bin count that stand for every
+closed bin, the item→bin map as one flat integer list, the counters,
+the metric values, and the placement policy's internal state (Next
+Fit's available bin, the classified policies' class maps, seeded RNG
+states).
 :func:`restore_engine` rebuilds a live engine from the document.
+
+Closed bins are not in it: the engine drops a bin when it closes, after
+:attr:`~repro.service.engine.StreamingEngine.bin_closed_callbacks` ran,
+so a checkpoint grows with what is open, plus one ``item_bin`` pair per
+job ever placed.  Version 1 documents, which held every bin ever
+opened, ``placed_order`` and ``departed``, still restore: their closed
+bins are folded exactly as the live engine folds them.
 
 The contract is exact resumption: checkpointing mid-trace and restoring
 into a fresh process must reproduce the uninterrupted run bit for bit —
@@ -27,10 +37,12 @@ identically to the incrementally maintained one.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import os
 import random
-from typing import Any, Optional
+from itertools import chain
+from typing import Any, Callable
 
 from ..core.bins import Bin
 from ..core.items import Item
@@ -48,7 +60,7 @@ __all__ = [
     "config_fingerprint",
 ]
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def config_fingerprint(config: dict) -> str:
@@ -70,8 +82,9 @@ def check_version(version: Any) -> None:
     A *newer* snapshot than the code means a downgraded service is
     looking at state written by its future self — restoring a subset of
     it would silently drop fields, so the error says exactly that.
+    Version 1 (every bin ever opened) is still read.
     """
-    if version == SNAPSHOT_VERSION:
+    if type(version) is int and 1 <= version <= SNAPSHOT_VERSION:
         return
     if isinstance(version, int) and version > SNAPSHOT_VERSION:
         raise ValueError(
@@ -98,12 +111,12 @@ def write_checkpoint(path: str, doc: dict) -> None:
     with open(tmp, "w") as f:
         # json.dump streams chunks into the file; CPython serves it with
         # the pure-Python encoder, so it is the slower call: on a
-        # 9,283-item scalar checkpoint (1.7 MB) it took 0.25 s against
-        # 0.09 s for json.dumps (2-vCPU VM, CPython 3.11).  json.dumps
-        # builds the whole document as one string first (5.1 MB of
-        # traced allocation against 0.6 MB), and it raised
-        # fleet-recover's peak_rss_mb by about 10 MB; see
-        # docs/PERFORMANCE.md, "Checkpoint encoding".
+        # drained 9,282-job shard's checkpoint (92 KB) it took 7.5 ms
+        # against 1.7 ms for json.dumps (2-vCPU VM, CPython 3.11).
+        # json.dumps builds the whole document first (1.4 MB of traced
+        # allocation against 0.15 MB), and it raised fleet-recover's
+        # peak_rss_mb in 3 of 3 pairs; see docs/PERFORMANCE.md,
+        # "Checkpoint encoding".
         json.dump(doc, f, sort_keys=True, separators=(",", ":"))
         f.write("\n")
         f.flush()
@@ -152,15 +165,15 @@ def _encode_value(value: Any) -> Any:
     )
 
 
-def _decode_value(value: Any, bins: list) -> Any:
+def _decode_value(value: Any, bin_ref: Callable[[int], Any]) -> Any:
     if isinstance(value, dict):
         if "__tuple__" in value:
-            return tuple(_decode_value(v, bins) for v in value["__tuple__"])
+            return tuple(_decode_value(v, bin_ref) for v in value["__tuple__"])
         if "__list__" in value:
-            return [_decode_value(v, bins) for v in value["__list__"]]
+            return [_decode_value(v, bin_ref) for v in value["__list__"]]
         if "__map__" in value:
             return {
-                _decode_value(k, bins): _decode_value(v, bins)
+                _decode_value(k, bin_ref): _decode_value(v, bin_ref)
                 for k, v in value["__map__"]
             }
         if "__rng__" in value:
@@ -169,7 +182,7 @@ def _decode_value(value: Any, bins: list) -> Any:
             rng.setstate((version, tuple(internal), gauss))
             return rng
         if "__bin__" in value:
-            return bins[value["__bin__"]]
+            return bin_ref(value["__bin__"])
         raise ValueError(f"unrecognised snapshot marker in {sorted(value)}")
     return value
 
@@ -226,17 +239,20 @@ def _make_bin(rec: dict, items: dict, capacity, scalar: bool):
 
 # -- engine snapshot ----------------------------------------------------------
 def snapshot_engine(engine) -> dict:
-    """The engine's full state as one JSON-serialisable document."""
+    """The engine's live state as one JSON-serialisable document."""
     state = engine.state
     scalar = isinstance(state, PackingState)
+    open_bins = list(state._open.values())
+    active = engine._active
+    pending = [
+        (t, seq, it) for t, seq, it in engine._pending if it.item_id in active
+    ]
 
     # the item table: everything the restored process may still touch
     items: dict[int, Any] = {}
-    for b in state.bins:
+    for b in open_bins:
         for it in b.all_items:
             items[it.item_id] = it
-    for _, _, it in engine._pending:
-        items[it.item_id] = it
     for _, _, it in engine._queue:
         items[it.item_id] = it
 
@@ -254,18 +270,16 @@ def snapshot_engine(engine) -> dict:
         "total_level": state.total_level
         if scalar
         else list(state.total_level),
-        "items": {str(iid): _item_record(it, scalar) for iid, it in items.items()},
-        "bins": [_bin_record(b, scalar) for b in state.bins],
-        "open": sorted(state._open),
-        "item_bin": [[iid, idx] for iid, idx in state.item_bin.items()],
-        "placed_order": [it.item_id for it in engine._placed_items],
-        "active": sorted(engine._active),
-        "departed": sorted(engine._departed),
-        "pending": [
-            [t, seq, it.item_id]
-            for t, seq, it in engine._pending
-            if it.item_id not in engine._departed
+        "items": [_item_record(it, scalar) for it in items.values()],
+        "bins": [_bin_record(b, scalar) for b in open_bins],
+        "bins_used": state.num_bins_used,
+        "usage": [
+            engine._usage_total,
+            engine._usage_next,
+            sorted(engine._usage_waiting.items()),
         ],
+        "item_bin": list(chain.from_iterable(state.item_bin.items())),
+        "pending": [[t, seq, it.item_id] for t, seq, it in pending],
         "queue": [[t, seq, it.item_id] for t, seq, it in engine._queue],
         "migrations": engine.migrations,
         "defrag_runs": engine.defrag_runs,
@@ -296,13 +310,13 @@ def restore_engine(
     a policy of the same shape and its accounting is restored.  Pass a
     fresh :class:`~repro.service.metrics.MetricsRegistry` to resume the
     metric values; the decision log starts fresh (it is an audit trail,
-    not state).
+    not state).  A version-1 document's closed bins are folded into the
+    usage total the way the live engine folds them.
     """
-    import heapq
-
     from .engine import StreamingEngine
 
-    check_version(doc.get("version"))
+    version = doc.get("version")
+    check_version(version)
     if doc["algorithm"] != algorithm.name:
         raise ValueError(
             f"snapshot was taken under policy {doc['algorithm']!r}, "
@@ -320,13 +334,20 @@ def restore_engine(
             capacity=tuple(doc["capacity"]), indexed=doc["indexed"]
         )
     state.now = doc["now"]
-    items = {
-        int(iid): _make_item(rec, scalar) for iid, rec in doc["items"].items()
-    }
+    records, item_bin = doc["items"], doc["item_bin"]
+    if version == 1:  # items keyed by str(item id), the map as [id, bin] pairs
+        records, item_bin = records.values(), chain.from_iterable(item_bin)
+    items = {rec[0]: _make_item(rec, scalar) for rec in records}
     capacity = state.capacity
-    state.bins = [_make_bin(rec, items, capacity, scalar) for rec in doc["bins"]]
-    state._open = {idx: state.bins[idx] for idx in doc["open"]}
-    state.item_bin = {int(iid): idx for iid, idx in doc["item_bin"]}
+    # version 1 lists every bin ever opened: its closed bins are folded
+    # into the usage total below, once the engine exists
+    bins = [_make_bin(rec, items, capacity, scalar) for rec in doc["bins"]]
+    state.bins = [None] * doc.get("bins_used", len(bins))
+    for b in bins:
+        state.bins[b.index] = b
+    flat = iter(item_bin)
+    state.item_bin = dict(zip(flat, flat))
+    state._open = {b.index: b for b in bins if b.closed_at is None}
     if scalar:
         state.total_level = doc["total_level"]
     else:
@@ -337,36 +358,48 @@ def restore_engine(
         state._activate_index()
 
     # 2. the engine shell (constructing it resets the algorithm...)
-    if scalar:
-        engine = StreamingEngine.scalar(
-            algorithm,
-            state=state,
-            admission=admission,
-            metrics=metrics,
-            decision_log=decision_log,
-            observers=observers,
-        )
-    else:
-        engine = StreamingEngine.vector(
-            algorithm,
-            state=state,
-            admission=admission,
-            metrics=metrics,
-            decision_log=decision_log,
-            observers=observers,
-        )
+    factory = StreamingEngine.scalar if scalar else StreamingEngine.vector
+    engine = factory(
+        algorithm,
+        state=state,
+        admission=admission,
+        metrics=metrics,
+        decision_log=decision_log,
+        observers=observers,
+    )
+    total, nxt, waiting = doc.get("usage", (0.0, 0, ()))
+    engine._usage_total, engine._usage_next = total, nxt
+    engine._usage_waiting = dict(waiting)
+    for b in bins:
+        if b.closed_at is not None:
+            engine._fold_closed(b)
 
     # 3. ...so the algorithm's internals are restored afterwards
+    def bin_ref(index: int):
+        # a policy may still point at a bin that has closed (Next Fit's
+        # available bin); it only ever asks such a bin whether it is
+        # open, so a stand-in closed by the checkpoint's clock serves
+        b = state.bins[index]
+        if b is None:
+            if scalar:
+                b = Bin(index=index, capacity=capacity)
+            else:
+                from ..multidim.bins import VectorBin
+
+                b = VectorBin(index=index, capacity=capacity)
+            b.closed_at = state.now
+        return b
+
     for key, value in doc["algorithm_state"].items():
-        setattr(algorithm, key, _decode_value(value, state.bins))
+        setattr(algorithm, key, _decode_value(value, bin_ref))
 
     # 4. engine bookkeeping
     engine.clock = doc["clock"]
     engine._started = doc["started"]
     engine._seq = doc["seq"]
-    engine._departed = set(doc["departed"])
-    engine._active = {iid: items[iid] for iid in doc["active"]}
-    engine._placed_items = [items[iid] for iid in doc["placed_order"]]
+    engine._active = {
+        iid: it for b in state._open.values() for iid, it in b.active_items.items()
+    }
     engine._pending = [(t, seq, items[iid]) for t, seq, iid in doc["pending"]]
     heapq.heapify(engine._pending)
     engine._queue = [(t, seq, items[iid]) for t, seq, iid in doc["queue"]]

@@ -110,10 +110,18 @@ def _item_from_record(rec: dict, index: int, vector: bool):
 
 def from_json(text: str) -> AnyItemList:
     """Parse an instance from :func:`to_json` output (scalar or vector)."""
+    return _from_document(_parse_json(text))
+
+
+def _parse_json(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:
         raise TraceFormatError(f"malformed JSON: {exc}") from None
+
+
+def _from_document(doc) -> AnyItemList:
+    """Build the instance from a parsed :func:`to_json` document."""
     if not isinstance(doc, dict) or not isinstance(doc.get("items"), list):
         raise TraceFormatError(
             "document must be an object with an 'items' list", field="items"
@@ -224,7 +232,11 @@ def load_trace(path: PathLike) -> AnyItemList:
         text = handle.read()
     try:
         if suffix == ".json":
-            return from_json(text)
+            doc = _parse_json(text)
+            # the file text is dead once parsed: drop it before the items
+            # are built, or it stays resident through the whole build
+            del text
+            return _from_document(doc)
         if suffix == ".csv":
             return from_csv(text)
     except TraceFormatError as exc:

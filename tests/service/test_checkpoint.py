@@ -200,7 +200,7 @@ def test_snapshot_is_json_stable():
         engine.submit(it)
     text = dumps(engine)
     doc = json.loads(text)
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["kind"] == "scalar"
     # a second dump of the restored engine is byte-identical
     assert dumps(loads(text, make_algorithm("next-fit"))) == text

@@ -557,3 +557,82 @@ def test_wal_verify_flags_a_log_resuming_below_its_checkpoint(tmp_path, capsys):
     with pytest.raises(WalCorruptionError, match="ends at seq 3"):
         recover(directory, engine_builder=_ff_engine(capacity), fsync="never")
     assert sorted(os.listdir(directory)) == on_disk
+
+
+# -- job-id rules across a checkpoint -----------------------------------------
+# A job has departed iff it is in the item→bin map and no longer active.
+# The rules must hold for a job whose bin closed, and was dropped from the
+# engine, before the checkpoint that recovery restores:
+# - a second depart of a departed id is a no-op;
+# - an id that was never submitted cannot depart (KeyError);
+# - a departed id cannot be submitted again (ValueError).
+def _recovered_after_closed_bin(tmp_path):
+    from repro.core.items import Item
+
+    directory = str(tmp_path / "ids")
+    make_engine = lambda: StreamingEngine.scalar(make_algorithm("first-fit"))
+    durable = DurableEngine(
+        make_engine(), WriteAheadLog(directory, fsync="never"), checkpoint_every=1000
+    )
+    durable.submit(Item(1, 0.5, 0.0, 1.0))  # alone in bin 0 ...
+    durable.submit(Item(2, 0.5, 2.0, 5.0))  # ... which closes at t=1
+    assert durable.engine.state.bins[0] is None, "bin 0 left the engine"
+    durable.checkpoint_now()
+    durable.close()
+    recovered, report = recover(directory, engine_builder=make_engine, fsync="never")
+    assert report.checkpoint_path is not None and report.replayed == 0
+    assert recovered.engine.state.item_bin[1] == 0
+    return recovered
+
+
+def test_job_id_rules_hold_across_a_checkpoint(tmp_path):
+    from repro.core.items import Item
+
+    durable = _recovered_after_closed_bin(tmp_path)
+    assert durable.depart(1) is None
+    with pytest.raises(KeyError, match="not active"):
+        durable.depart(42)
+    with pytest.raises(ValueError, match="already submitted"):
+        durable.submit(Item(1, 0.3, 3.0, 4.0))
+    # none of the refusals touched the packing
+    assert durable.engine.state.num_open == 1
+    assert durable.engine.state.item_bin == {1: 0, 2: 1}
+    durable.close()
+
+
+def test_job_id_rules_hold_across_a_checkpoint_on_the_wire(tmp_path):
+    import asyncio
+
+    from repro.service import AllocationService
+
+    durable = _recovered_after_closed_bin(tmp_path)
+
+    async def scenario():
+        service = AllocationService(durable, quiet=True)
+        port = await service.start("127.0.0.1", 0)
+        waiter = asyncio.ensure_future(service.wait_closed())
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+        async def call(payload):
+            writer.write((json.dumps(payload) + "\n").encode())
+            await writer.drain()
+            return json.loads(await reader.readline())
+
+        replies = [
+            await call({"op": "depart", "id": 1}),
+            await call({"op": "depart", "id": 42}),
+            await call({"op": "submit", "job": {
+                "id": 1, "size": 0.3, "arrival": 3.0, "departure": 4.0}}),
+        ]
+        await call({"op": "shutdown"})
+        writer.close()
+        await waiter
+        return replies
+
+    again, unknown, resubmit = asyncio.run(scenario())
+    assert again["ok"] is True
+    assert unknown["ok"] is False and unknown["error_type"] == "rejected"
+    assert "not active" in unknown["error"]
+    assert resubmit["ok"] is False and resubmit["error_type"] == "rejected"
+    assert "already submitted" in resubmit["error"]
+    durable.close()

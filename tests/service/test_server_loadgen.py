@@ -140,7 +140,7 @@ class TestLoopbackLibrary:
         assert response == {"ok": True, "path": target}
         with open(target) as f:
             doc = json.load(f)
-        assert doc["placed_order"] == [7]
+        assert doc["item_bin"] == [7, 0]
 
 
 class TestLoopbackCli:

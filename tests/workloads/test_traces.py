@@ -1,5 +1,9 @@
 """Tests for trace serialisation round-trips."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.items import Item, ItemList
@@ -167,3 +171,47 @@ class TestVectorAndGzip:
             save_trace(sample(), p)
             assert p.read_bytes()[:2] == b"\x1f\x8b"  # really gzipped
             assert items_equal(sample(), load_trace(p))
+
+
+PEAK_PROBE = """
+import sys
+from repro.workloads.traces import load_trace
+
+def status(key):
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith(key + ":"):
+                return int(line.split()[1])
+
+items = load_trace(sys.argv[1])
+print(status("VmHWM") - status("VmRSS"), len(items))
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs Linux /proc"
+)
+def test_load_trace_drops_the_file_text_before_building_items(tmp_path):
+    """Loading peaks no higher than what stays resident after it.
+
+    The file text (2.8 MB here) is dead once parsed; kept alive while
+    the items are built, it set a fresh process's peak RSS 2.5 MB above
+    the RSS right after loading.
+    """
+    from repro.workloads import poisson_workload
+
+    path = tmp_path / "highload.json"
+    save_trace(
+        poisson_workload(20_000, seed=17, mu_target=8.0, arrival_rate=200.0), path
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK_PROBE, str(path)],
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    over_kb, n = map(int, out.stdout.split())
+    assert n == 20_000
+    assert over_kb < 1024, f"peak {over_kb} kB above the RSS after loading"
