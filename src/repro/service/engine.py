@@ -588,7 +588,9 @@ class StreamingEngine:
             self._m_departures.value += 1.0
             self._m_open_bins.value = self.state.num_open
             self._m_load.value = self.load()
-        if source.is_closed:
+        # a repacking policy's moves after this departure may already
+        # have emptied the bin, reported it and dropped it (_on_migration)
+        if source.is_closed and self.state.bins[source.index] is source:
             if self._m_bins_closed is not None:
                 self._m_bins_closed.inc()
             for cb in self.bin_closed_callbacks:

@@ -9,7 +9,9 @@ open, plus one ``item_bin`` entry per job:
 - no ``Bin`` of a closed bin stays alive, on the scalar and the vector
   engine;
 - the checkpoint without ``item_bin`` does not grow as submits go on;
-- traced memory grows by a few dozen bytes per job.
+- traced memory grows by a few dozen bytes per job;
+- every closed bin still reaches ``bin_closed_callbacks``, exactly as
+  the batch engine returns it, for every registered policy.
 """
 
 from __future__ import annotations
@@ -20,9 +22,15 @@ import tracemalloc
 
 import pytest
 
-from repro.algorithms import make_algorithm
+from repro.algorithms import ALGORITHM_REGISTRY, make_algorithm
 from repro.core.bins import Bin
-from repro.multidim import make_vector_algorithm
+from repro.core.packing import run_packing
+from repro.multidim import (
+    VECTOR_REGISTRY,
+    make_vector_algorithm,
+    run_vector_packing,
+    vector_workload,
+)
 from repro.multidim.bins import VectorBin
 from repro.multidim.items import VectorItem
 from repro.service import MetricsRegistry, StreamingEngine, snapshot_engine
@@ -47,6 +55,12 @@ def live_bins(cls) -> list:
     return [o for o in gc.get_objects() if type(o) is cls]
 
 
+def new_live_bins(cls, before: list) -> list:
+    """Live ``cls`` objects not in ``before`` (which keeps its own alive)."""
+    old = {id(b) for b in before}
+    return [b for b in live_bins(cls) if id(b) not in old]
+
+
 @pytest.mark.parametrize("kind", ["scalar", "vector"])
 def test_no_closed_bin_stays_alive(jobs, kind):
     if kind == "scalar":
@@ -61,9 +75,10 @@ def test_no_closed_bin_stays_alive(jobs, kind):
         ]
     closed = []
     engine.bin_closed_callbacks.append(lambda b: closed.append(b.index))
+    before = live_bins(cls)  # whatever other code in this process holds
     for it in stream:
         engine.submit(it)
-    alive = live_bins(cls)
+    alive = new_live_bins(cls, before)
     assert len(closed) > 1000
     assert all(b.is_open for b in alive), sorted(b.index for b in alive if not b.is_open)
     assert len(alive) == engine.state.num_open
@@ -128,3 +143,47 @@ def test_memory_grows_only_by_the_item_bin_map(jobs):
         tracemalloc.stop()
     per_job = (late - early) / (SUBMITS - EARLY)
     assert per_job <= 80, f"{per_job:.1f} B/job"
+
+
+def bin_shape(b) -> tuple:
+    """Everything a closed bin records, timeline included when it has one."""
+    return (
+        b.index,
+        b.opened_at,
+        b.closed_at,
+        [it.item_id for it in b.all_items],
+        list(getattr(b, "level_times", ())),
+        list(getattr(b, "level_values", ())),
+    )
+
+
+def stream_through_sink(engine, items):
+    closed = []
+    engine.bin_closed_callbacks.append(closed.append)
+    for it in sorted(items, key=lambda it: it.arrival):
+        engine.submit(it)
+    result = engine.finish()
+    assert engine.state.bins == [None] * result.num_bins
+    return sorted(map(bin_shape, closed)), result
+
+
+@pytest.mark.parametrize("algo_name", sorted(ALGORITHM_REGISTRY))
+def test_closed_bins_reach_the_sink_as_batch_returns_them(algo_name):
+    items = poisson_workload(400, seed=5, mu_target=8.0, arrival_rate=20.0)
+    batch = run_packing(items, make_algorithm(algo_name), capacity=items.capacity)
+    engine = StreamingEngine.scalar(make_algorithm(algo_name), capacity=items.capacity)
+    closed, result = stream_through_sink(engine, items)
+    assert closed == [bin_shape(b) for b in batch.bins]
+    assert result.total_usage_time == batch.total_usage_time
+
+
+@pytest.mark.parametrize("algo_name", sorted(VECTOR_REGISTRY))
+def test_closed_vector_bins_reach_the_sink_as_batch_returns_them(algo_name):
+    items = vector_workload(300, seed=19, dimensions=2, arrival_rate=100.0)
+    batch = run_vector_packing(items, make_vector_algorithm(algo_name))
+    engine = StreamingEngine.vector(
+        make_vector_algorithm(algo_name), capacity=items.capacity
+    )
+    closed, result = stream_through_sink(engine, items)
+    assert closed == [bin_shape(b) for b in batch.bins]
+    assert result.total_usage_time == batch.total_usage_time
