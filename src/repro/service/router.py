@@ -24,6 +24,17 @@ fans each operation out to the worker that owns its key:
   frames are relayed verbatim — the 1-shard router overhead is one
   socket hop, pinned ≤15% by the ``router-loopback`` bench cells.
 
+:class:`ShardRouter` subclasses the service's
+:class:`~repro.service.server.FrontDoor`, so everything up to a parsed
+request is the single-process service's own code: the JSON-lines and
+frame loops, request parsing, the binary sub-request decoder, ``hello``,
+deadline budgets, the binary response encoder and the error taxonomy.
+The router supplies only what answers a parsed JSON request (route or
+broadcast it) and what answers a binary frame (relay it, split it, or
+decode it to JSON), which is why a malformed frame, a spent budget or a
+bad ``hello`` gets the same reply from the router as from a worker
+(pinned by ``tests/service/test_front_door.py``).
+
 Each backend is one persistent pipelined binary connection
 (:class:`BackendLink`): requests enqueue onto an unacknowledged window
 and complete FIFO.  When a worker dies the link keeps the window, waits
@@ -82,7 +93,7 @@ from typing import Awaitable, Callable, Optional, Sequence
 from . import protocol as wire
 from .faults import FaultInjector, LinkFaults
 from .metrics import merge_expositions, relabel_exposition
-from .server import DEFAULT_MAX_LINE_BYTES, ProtocolError
+from .server import DEFAULT_MAX_LINE_BYTES, FrontDoor, ProtocolError
 
 __all__ = [
     "BackendLink",
@@ -577,15 +588,21 @@ class BackendLink:
         self._idle.set()
 
 
-class ShardRouter:
+class ShardRouter(FrontDoor):
     """The consistent-hash front-end over N backend workers.
 
-    Speaks both client protocols (the JSON-lines debug surface and the
-    binary framing) with the single-process service's error taxonomy;
-    always speaks binary to the backends.  ``handoff_callback`` (set by
-    the fleet supervisor) serves the ``{"op": "handoff", "shard": k}``
-    operation — the router itself only quiesces links; moving processes
-    is the supervisor's job.
+    A :class:`~repro.service.server.FrontDoor`: the read loops, request
+    parsing, ``hello``, deadline budgets, the binary response encoder
+    and the error taxonomy are the single-process service's own, so
+    both client protocols are answered exactly as a worker would
+    answer them.  The router supplies only the routing of a parsed
+    JSON request (:meth:`_answer_json`) and of a binary frame
+    (:meth:`_dispatch_frame`), and always speaks binary to the
+    backends.  Its front-door counters, latency histogram and fault
+    seams stay inert (``fault_injector`` faults the backend links).
+    ``handoff_callback`` (set by the fleet supervisor) serves the
+    ``{"op": "handoff", "shard": k}`` operation — the router itself
+    only quiesces links; moving processes is the supervisor's job.
     """
 
     def __init__(
@@ -613,10 +630,11 @@ class ShardRouter:
             raise ValueError(
                 f"degraded policy must be 'failfast' or 'queue', got {degraded!r}"
             )
+        super().__init__(
+            quiet=quiet, max_line_bytes=max_line_bytes,
+            request_timeout=request_timeout,
+        )
         self.tenants = int(tenants)
-        self.quiet = quiet
-        self.max_line_bytes = int(max_line_bytes)
-        self.request_timeout = request_timeout
         self.handoff_callback = handoff_callback
         self.degraded = degraded
         self.links = [
@@ -641,7 +659,6 @@ class ShardRouter:
             for _ in self.links
         ]
         self.ring = HashRing(len(self.links), replicas)
-        self.requests_served = 0
         #: job ops forwarded per shard (the loadgen imbalance report)
         self.requests_routed = [0] * len(self.links)
         #: forwards refused/overrun against the deadline budget, per shard
@@ -652,8 +669,6 @@ class ShardRouter:
         #: prober reports into the router so one exposition carries all
         #: resilience signals)
         self.probe_failures = [0] * len(self.links)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._shutdown = asyncio.Event()
 
     @property
     def num_shards(self) -> int:
@@ -667,10 +682,7 @@ class ShardRouter:
         await asyncio.gather(*(link.connect() for link in self.links))
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        self._server = await asyncio.start_server(
-            self._handle, host, port, limit=self.max_line_bytes
-        )
-        bound = self._server.sockets[0].getsockname()[1]
+        bound = await super().start(host, port)
         if not self.quiet:
             print(
                 f"repro router listening on {host}:{bound} "
@@ -679,10 +691,7 @@ class ShardRouter:
         return bound
 
     async def wait_closed(self) -> None:
-        await self._shutdown.wait()
-        assert self._server is not None
-        self._server.close()
-        await self._server.wait_closed()
+        await super().wait_closed()
         for link in self.links:
             await link.close()
 
@@ -690,9 +699,7 @@ class ShardRouter:
         self, host: str = "127.0.0.1", port: int = 0
     ) -> int:
         await self.connect()
-        await self.start(host, port)
-        await self.wait_closed()
-        return 0
+        return await super().serve_until_shutdown(host, port)
 
     def shutdown(self) -> None:
         self._shutdown.set()
@@ -712,107 +719,19 @@ class ShardRouter:
         out = await self.links[index].control(wire.encode_json_request(request))
         return wire.decode_response(out)
 
-    # -- front: JSON lines ----------------------------------------------------
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    # -- JSON requests --------------------------------------------------------
+    async def _answer_json(self, request: dict) -> dict:
         try:
-            while not reader.at_eof():
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._reply(writer, {
-                        "ok": False,
-                        "error": f"request line exceeds {self.max_line_bytes} bytes",
-                        "error_type": "line_too_long",
-                    })
-                    break
-                if not line:
-                    break
-                if not line.endswith(b"\n") and reader.at_eof():
-                    break
-                response = await self._dispatch_line(line)
-                if not await self._reply(writer, response):
-                    break
-                if response.get("bye"):
-                    self._shutdown.set()
-                    break
-                if response.get("ok") and response.get("protocol") == "binary":
-                    await self._handle_binary(reader, writer)
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _reply(self, writer: asyncio.StreamWriter, response: dict) -> bool:
-        return await self._write(writer, (json.dumps(response) + "\n").encode())
-
-    async def _write(self, writer: asyncio.StreamWriter, data: bytes) -> bool:
-        try:
-            writer.write(data)
-            await asyncio.wait_for(writer.drain(), self.request_timeout)
-            return True
-        except (ConnectionError, asyncio.TimeoutError, OSError):
-            return False
-
-    async def _dispatch_line(self, line: bytes) -> dict:
-        self.requests_served += 1
-        try:
-            request = json.loads(line)
-        except (ValueError, UnicodeDecodeError) as exc:
-            return {
-                "ok": False,
-                "error": f"malformed JSON: {exc}",
-                "error_type": "malformed_json",
-            }
-        if not isinstance(request, dict):
-            return {
-                "ok": False,
-                "error": f"request must be a JSON object, got {type(request).__name__}",
-                "error_type": "protocol",
-            }
-        return await self._dispatch_safely(request)
-
-    async def _dispatch_safely(self, request: dict) -> dict:
-        budget_ms: Optional[float] = None
-        raw_budget = request.get("deadline_ms")
-        if raw_budget is not None:
-            try:
-                budget_ms = float(raw_budget)
-            except (TypeError, ValueError):
-                return {
-                    "ok": False,
-                    "error": f"deadline_ms must be a number, got {raw_budget!r}",
-                    "error_type": "protocol",
-                }
-            if budget_ms <= 0:
-                return {
-                    "ok": False,
-                    "error": (
-                        f"deadline budget exhausted "
-                        f"({budget_ms:.3f} ms remaining)"
-                    ),
-                    "error_type": "deadline_exceeded",
-                }
-        try:
+            budget_ms = self._budget(request.get("deadline_ms"))
             return await self._dispatch(request, budget_ms)
-        except _ShardError as exc:
-            return exc.doc
-        except ProtocolError as exc:
-            return {"ok": False, "error": str(exc), "error_type": "protocol"}
-        except ConnectionError as exc:
+        except Exception as exc:
+            return self._error_reply(exc)
+
+    def _error_reply(self, exc: Exception) -> dict:
+        """The service's taxonomy, plus ``shard_unavailable`` for a failed forward."""
+        if isinstance(exc, ConnectionError):
             return self._error_doc(None, exc)
-        except Exception as exc:  # protocol boundary: report, don't crash
-            return {
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_type": "internal",
-            }
+        return super()._error_reply(exc)
 
     async def _dispatch(
         self, request: dict, budget_ms: Optional[float] = None
@@ -829,15 +748,15 @@ class ShardRouter:
                 self._shard_for_raw(request.get("id")), request, budget_ms
             )
         if op == "advance":
-            docs = self._require_ok(await self._broadcast_json(request, budget_ms))
-            return {
+            docs = await self._broadcast_json(request, budget_ms)
+            return _first_error(docs) or {
                 "ok": True,
                 "departed": sum(d.get("departed", 0) for d in docs),
                 "clock": max(d.get("clock", 0.0) for d in docs),
             }
         if op == "drain":
-            docs = self._require_ok(await self._broadcast_json(request, budget_ms))
-            return {
+            docs = await self._broadcast_json(request, budget_ms)
+            return _first_error(docs) or {
                 "ok": True,
                 "bins": sum(d["bins"] for d in docs),
                 "total_usage_time": sum(d["total_usage_time"] for d in docs),
@@ -880,15 +799,13 @@ class ShardRouter:
                 if d.get("ok") and "text" in d
             ]
             texts.append(self._own_exposition())
-            if not texts:
-                return self._require_ok(docs)[0]  # propagate the error
             return {"ok": True, "text": merge_expositions(texts)}
         if op == "checkpoint":
-            docs = self._require_ok(await self._broadcast_json(request))
-            return {"ok": True, "shards": docs}
+            docs = await self._broadcast_json(request)
+            return _first_error(docs) or {"ok": True, "shards": docs}
         if op == "defrag":
-            docs = self._require_ok(await self._broadcast_json(request))
-            return {
+            docs = await self._broadcast_json(request)
+            return _first_error(docs) or {
                 "ok": True,
                 "moved": sum(d.get("moved", 0) for d in docs),
                 "migrations": sum(d.get("migrations", 0) for d in docs),
@@ -913,24 +830,7 @@ class ShardRouter:
                 out.update(detail)
             return out
         if op == "hello":
-            proto = request.get("protocol", "json")
-            if proto not in wire.PROTOCOLS:
-                raise ProtocolError(
-                    f"unknown protocol {proto!r}; known: {list(wire.PROTOCOLS)}"
-                )
-            version = request.get("version", wire.PROTOCOL_VERSION)
-            if not isinstance(version, int):
-                raise ProtocolError(
-                    f"protocol version must be an integer, got {version!r}"
-                )
-            agreed = wire.negotiate_version(version)
-            if agreed is None:
-                raise ProtocolError(
-                    f"unsupported protocol version {version!r} (this server "
-                    f"speaks {wire.MIN_PROTOCOL_VERSION}.."
-                    f"{wire.PROTOCOL_VERSION})"
-                )
-            return {"ok": True, "protocol": proto, "version": agreed}
+            return self._hello(request)
         # anything else (including unknown ops): let shard 0 answer, so
         # the error taxonomy has exactly one source of truth
         return await self._forward_json(0, request)
@@ -942,10 +842,7 @@ class ShardRouter:
         gets the worker's own validation error, byte-identical to the
         single-process service's.
         """
-        try:
-            return self.shard_of(int(raw_id))
-        except (TypeError, ValueError):
-            return 0
+        return self.shard_of(raw_id) if type(raw_id) is int else 0
 
     async def _forward_json(
         self, index: int, request: dict, budget_ms: Optional[float] = None
@@ -1090,13 +987,6 @@ class ShardRouter:
             doc["breaker"] = "open"
         return doc
 
-    @staticmethod
-    def _require_ok(docs: list[dict]) -> list[dict]:
-        for doc in docs:
-            if not doc.get("ok"):
-                raise _ShardError(doc)
-        return docs
-
     def _own_exposition(self) -> str:
         lines = [
             "# HELP repro_router_requests_total job ops routed to each shard",
@@ -1163,200 +1053,84 @@ class ShardRouter:
         ]
         return "\n".join(lines) + "\n"
 
-    # -- front: binary frames -------------------------------------------------
-    async def _handle_binary(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        header_size = wire.HEADER.size
-        unpack_header = wire.HEADER.unpack
-        while True:
-            try:
-                head = await reader.readexactly(header_size)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                return
-            (length,) = unpack_header(head)
-            if length == 0:
-                self.requests_served += 1
-                out = wire.encode_json_response({
-                    "ok": False,
-                    "error": "zero-length frame",
-                    "error_type": "malformed_frame",
-                })
-                if not await self._write(writer, wire.frame(out)):
-                    return
-                continue
-            if length > self.max_line_bytes:
-                self.requests_served += 1
-                out = wire.encode_json_response({
-                    "ok": False,
-                    "error": (
-                        f"frame declares {length} bytes, "
-                        f"limit is {self.max_line_bytes}"
-                    ),
-                    "error_type": "frame_too_long",
-                })
-                await self._write(writer, wire.frame(out))
-                return
-            try:
-                payload = await asyncio.wait_for(
-                    reader.readexactly(length), self.request_timeout
-                )
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                    ConnectionError, OSError):
-                return
-            out, bye = await self._dispatch_frame(payload)
-            if not await self._write(writer, wire.frame(out)):
-                return
-            if bye:
-                self._shutdown.set()
-                return
+    # -- binary frames --------------------------------------------------------
+    async def _answer_frame(self, payload) -> tuple[bytes, bool]:
+        return await self._dispatch_frame(payload)
 
     async def _dispatch_frame(self, payload) -> tuple[bytes, bool]:
+        """One frame payload -> ``(response payload, shutdown?)``.
+
+        SUBMIT and DEPART relay verbatim to the shard that owns the id;
+        with a single backend every non-JSON frame does (the 1-shard
+        router overhead is one socket hop).
+        """
         try:
-            payload, budget_ms = wire.unwrap_deadline(payload)
-        except wire.FrameError as exc:
+            payload, budget_ms = self._unwrap(payload)
+        except (wire.FrameError, ProtocolError) as exc:
             self.requests_served += 1
-            return wire.encode_json_response({
-                "ok": False, "error": str(exc), "error_type": "malformed_frame",
-            }), False
+            return wire.encode_json_response(self._error_reply(exc)), False
         if budget_ms is not None:
-            if budget_ms <= 0:
-                self.requests_served += 1
-                return wire.encode_json_response({
-                    "ok": False,
-                    "error": (
-                        f"deadline budget exhausted "
-                        f"({budget_ms:.3f} ms remaining)"
-                    ),
-                    "error_type": "deadline_exceeded",
-                }), False
-            if not isinstance(payload, bytes):
-                payload = bytes(payload)  # relay paths re-frame the payload
+            payload = bytes(payload)  # relay paths re-frame the payload
         op = payload[0]
         if op != wire.OP_JSON and self.num_shards == 1:
-            # single-backend fast path: relay the frame verbatim — no
-            # decode, no re-encode (the ≤15% 1-shard overhead budget)
+            # single-backend fast path: no decode, no re-encode
             self.requests_served += 1
-            self.requests_routed[0] += 1
-            try:
-                return await self._call_shard(0, payload, budget_ms), False
-            except ConnectionError as exc:
-                return self._unavailable(0, exc), False
-        if op == wire.OP_SUBMIT or op == wire.OP_DEPART:
+            return await self._relay(0, payload, budget_ms), False
+        if op != wire.OP_BATCH:
             self.requests_served += 1
-            try:
-                (item_id,) = _SUB_ID.unpack_from(payload, 2)
-            except Exception:
-                index = 0  # malformed: the worker owns the error message
-            else:
-                index = self.shard_of(item_id)
-            try:
-                return await self._forward(index, payload, budget_ms), False
-            except ConnectionError as exc:
-                return self._unavailable(index, exc), False
-        if op == wire.OP_ADVANCE:
-            self.requests_served += 1
-            request: dict = {"op": "advance", "now": self._advance_now(payload)}
-            if budget_ms is not None:
-                request["deadline_ms"] = budget_ms
-            response = await self._dispatch_safely(request)
-            if response.get("ok"):
-                return wire.encode_clock(
-                    response["clock"], response["departed"]
-                ), False
-            return wire.encode_json_response(response), False
-        if op == wire.OP_BATCH:
-            return await self._dispatch_batch(payload, budget_ms)
-        if op == wire.OP_JSON:
-            return await self._dispatch_json_frame(payload, budget_ms)
-        self.requests_served += 1
-        return wire.encode_json_response({
-            "ok": False,
-            "error": f"unknown opcode 0x{op:02x}",
-            "error_type": "protocol",
-        }), False
-
-    @staticmethod
-    def _advance_now(payload: bytes):
-        try:
-            return wire.decode_advance(payload)
-        except wire.FrameError:
-            return None  # the JSON path reports "advance needs a 'now'"
-
-    async def _dispatch_json_frame(
-        self, payload: bytes, budget_ms: Optional[float] = None
-    ) -> tuple[bytes, bool]:
-        self.requests_served += 1
-        try:
-            request = json.loads(bytes(payload[1:]))
-        except (ValueError, UnicodeDecodeError) as exc:
-            return wire.encode_json_response({
-                "ok": False,
-                "error": f"malformed JSON: {exc}",
-                "error_type": "malformed_json",
-            }), False
-        if not isinstance(request, dict):
-            return wire.encode_json_response({
-                "ok": False,
-                "error": (
-                    f"request must be a JSON object, got {type(request).__name__}"
-                ),
-                "error_type": "protocol",
-            }), False
-        if budget_ms is not None and "deadline_ms" not in request:
-            # the frame wrapper's budget governs the inner request too
-            request["deadline_ms"] = budget_ms
-        op = request.get("op")
-        if op in ("submit", "depart"):
-            # single-shard JSON op: relay the original payload so the
-            # worker's binary response (RESP_PLACEMENT/RESP_CLOCK)
-            # reaches the client byte-identical to a direct connection
-            if op == "submit":
-                job = request.get("job")
-                raw = job.get("id") if isinstance(job, dict) else None
-            else:
-                raw = request.get("id")
-            index = self._shard_for_raw(raw)
-            inner = request.get("deadline_ms")
-            try:
-                forward_budget = float(inner) if inner is not None else None
-            except (TypeError, ValueError):
-                forward_budget = None  # the worker reports the bad field
-            try:
-                return await self._forward(index, payload, forward_budget), False
-            except ConnectionError as exc:
-                return self._unavailable(index, exc), False
-        response = await self._dispatch_safely(request)
-        return self._encode_response(response), bool(response.get("bye"))
-
-    async def _dispatch_batch(
-        self, payload: bytes, budget_ms: Optional[float] = None
-    ) -> tuple[bytes, bool]:
+            return await self._answer_sub(payload, budget_ms)
         try:
             subs = wire.split_batch(payload)
         except wire.FrameError as exc:
             self.requests_served += 1
-            return wire.encode_json_response({
-                "ok": False, "error": str(exc), "error_type": "malformed_frame",
-            }), False
+            return wire.encode_json_response(self._error_reply(exc)), False
         self.requests_served += len(subs)
         if all(sub[0] == wire.OP_SUBMIT or sub[0] == wire.OP_DEPART
                for sub in subs):
             return await self._route_job_batch(payload, subs, budget_ms), False
         # a mixed batch (advance/JSON riding along): strictly sequential
-        # per-sub dispatch, preserving the client's op order globally
+        # per-sub dispatch, preserving the client's op order globally;
+        # the batch budget governs every sub-op
         parts: list[bytes] = []
         bye = False
         for sub in subs:
-            self.requests_served -= 1  # _dispatch_frame counts it again
-            sub_payload = bytes(sub)
-            if budget_ms is not None:
-                # the batch budget governs every sub-op
-                sub_payload = wire.wrap_deadline(sub_payload, budget_ms)
-            out, sub_bye = await self._dispatch_frame(sub_payload)
+            out, sub_bye = await self._answer_sub(sub, budget_ms)
             bye = bye or sub_bye
             parts.append(out)
         return wire.encode_batch(parts), bye
+
+    async def _answer_sub(
+        self, sub, budget_ms: Optional[float]
+    ) -> tuple[bytes, bool]:
+        """One non-batch sub-request: a job op relays, the rest is JSON."""
+        op = sub[0]
+        if op == wire.OP_SUBMIT or op == wire.OP_DEPART:
+            index = self._frame_shard(sub)
+            return await self._relay(index, bytes(sub), budget_ms), False
+        try:
+            request = self._frame_request(sub)
+        except (wire.FrameError, ProtocolError) as exc:
+            return wire.encode_json_response(self._error_reply(exc)), False
+        if budget_ms is not None and "deadline_ms" not in request:
+            # the frame wrapper's budget governs the inner request too
+            request["deadline_ms"] = budget_ms
+        response = await self._answer_json(request)
+        return self._encode_reply(response), bool(response.get("bye"))
+
+    def _frame_shard(self, sub) -> int:
+        """The shard of a SUBMIT/DEPART payload; shard 0 answers a truncated one."""
+        try:
+            (item_id,) = _SUB_ID.unpack_from(sub, 2)
+        except struct.error:
+            return 0  # malformed: the worker owns the error message
+        return self.shard_of(item_id)
+
+    async def _relay(self, index: int, payload, budget_ms: Optional[float]) -> bytes:
+        """One payload to one shard, its reply back verbatim."""
+        try:
+            return await self._forward(index, payload, budget_ms)
+        except ConnectionError as exc:
+            return self._unavailable(index, exc)
 
     async def _route_job_batch(
         self, payload: bytes, subs, budget_ms: Optional[float] = None
@@ -1365,11 +1139,7 @@ class ShardRouter:
         groups: dict[int, list[int]] = {}
         order: list[int] = []  # shard of each sub, in client order
         for sub in subs:
-            try:
-                (item_id,) = _SUB_ID.unpack_from(sub, 2)
-                index = self.shard_of(item_id)
-            except Exception:
-                index = 0
+            index = self._frame_shard(sub)
             if index not in groups:
                 groups[index] = []
             groups[index].append(len(order))
@@ -1433,16 +1203,7 @@ class ShardRouter:
     def _unavailable(self, index: int, exc: Exception) -> bytes:
         return wire.encode_json_response(self._error_doc(index, exc))
 
-    def _encode_response(self, response: dict) -> bytes:
-        """A router-composed dict in the binary response scheme."""
-        if response.get("ok") and "clock" in response and "departed" in response:
-            return wire.encode_clock(response["clock"], response["departed"])
-        return wire.encode_json_response(response)
 
-
-class _ShardError(Exception):
-    """Carries a shard's error dict up through an aggregation."""
-
-    def __init__(self, doc: dict):
-        super().__init__(doc.get("error", "shard error"))
-        self.doc = doc
+def _first_error(docs: list[dict]) -> Optional[dict]:
+    """The first shard reply of a broadcast that is an error, if any."""
+    return next((doc for doc in docs if not doc.get("ok")), None)

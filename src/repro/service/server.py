@@ -8,6 +8,19 @@ sidecar, or ``nc`` can speak.  All engine operations run on the event
 loop thread, so concurrent connections are serialised naturally; the
 engine itself never needs a lock.
 
+Everything up to a parsed request lives in one base class,
+:class:`FrontDoor`, which both this service and the fleet's
+:class:`~repro.service.router.ShardRouter` subclass: the listener, the
+JSON-lines loop and its binary upgrade, the frame loop (zero-length,
+oversize and torn frames; idle and request timeouts), the reply writer
+with the fault injector's hang, delay, drop and tear seams, JSON
+request parsing for lines and ``OP_JSON`` frames, the binary
+sub-request decoder, ``hello``, deadline budgets (the JSON field and
+the v2 wrapper), the binary response encoder, and the error taxonomy.
+A subclass supplies only what answers a parsed JSON request
+(``_answer_json``) and what answers a binary frame (``_answer_frame``).
+:class:`AllocationService` answers both from its engine.
+
 Hardening contract (pinned by ``tests/service/test_protocol_fuzz.py``):
 malformed JSON, oversized lines, unknown ops, bad field types, protocol
 violations, and client disconnects at any byte **never crash the
@@ -23,13 +36,14 @@ Operations
 ``{"op": "submit", "job": {"id", "size" | "sizes", "arrival", "departure"},
    "request_id": ...}``
     Place a job (through admission control).  Response carries the
-    placement: action, bin, whether a new server was opened.  With a
-    client-supplied ``request_id`` the submit is idempotent: a retry of
-    an acknowledged id returns the cached placement (exactly-once under
-    the load generator's retry policy).
+    placement: action, bin, whether a new server was opened.  The job
+    id must be a JSON integer.  With a client-supplied ``request_id``
+    the submit is idempotent: a retry of an acknowledged id returns the
+    cached placement flagged ``"duplicate": true`` (exactly-once under
+    the load generator's retry policy), on every kind of engine.
 ``{"op": "depart", "id": ..., "now": ...}``
     Explicit departure (``now`` optional — defaults to the job's
-    recorded departure time).
+    recorded departure time; when given it must be a finite number).
 ``{"op": "advance", "now": ...}``
     Move the service clock, applying scheduled departures.
 ``{"op": "drain"}``
@@ -89,10 +103,6 @@ from .recovery import DedupWindow, DurableEngine
 from .shard import ShardSpec
 from .snapshot import snapshot_engine, write_checkpoint
 
-# bound once for the binary submit hot path (see _binary_item)
-_ITEM_NEW = Item.__new__
-_FROZEN_SET = object.__setattr__
-
 __all__ = ["AllocationService", "ProtocolError", "build_engine", "serve"]
 
 #: Default cap on one request line.  A line beyond it is a protocol
@@ -100,9 +110,27 @@ __all__ = ["AllocationService", "ProtocolError", "build_engine", "serve"]
 #: stream cannot be resynchronised mid-line).
 DEFAULT_MAX_LINE_BYTES = 1 << 20
 
+_MALFORMED = "repro_service_malformed_requests_total"
+_PROTOCOL_ERRORS = "repro_service_protocol_errors_total"
+_INTERNAL_ERRORS = "repro_service_internal_errors_total"
+_DISCONNECTS = "repro_service_disconnects_total"
+_TIMEOUTS = "repro_service_request_timeouts_total"
+_DEADLINE_EXCEEDED = "repro_service_deadline_exceeded_total"
+
 
 class ProtocolError(ValueError):
-    """A structurally invalid request (reported, never fatal)."""
+    """A structurally invalid request (reported, never fatal).
+
+    ``error_type`` and ``counter`` place it in the error taxonomy: most
+    are ``protocol`` errors, but unparseable JSON, a non-object request
+    and a spent deadline budget are refused through this class too.
+    """
+
+    def __init__(self, message: str, error_type: str = "protocol",
+                 counter: str = _PROTOCOL_ERRORS):
+        super().__init__(message)
+        self.error_type = error_type
+        self.counter = counter
 
 
 def build_engine(
@@ -138,47 +166,397 @@ def _finite(value, name: str) -> float:
     return out
 
 
-def _job_from_request(job, scalar: bool = True):
-    if not isinstance(job, dict):
-        raise ProtocolError(f"'job' must be an object, got {type(job).__name__}")
-    size_field = "size" if scalar else "sizes"
-    missing = [k for k in ("id", size_field, "arrival", "departure") if k not in job]
-    if missing:
-        raise ProtocolError(f"job record is missing field {missing[0]!r}")
-    try:
-        item_id = int(job["id"])
-    except (TypeError, ValueError):
-        raise ProtocolError(f"job id must be an integer, got {job['id']!r}") from None
-    arrival = _finite(job["arrival"], "arrival")
-    departure = _finite(job["departure"], "departure")
-    if departure <= arrival:
-        raise ProtocolError(
-            f"job departure ({departure}) must be after arrival ({arrival})"
-        )
-    if scalar:
-        size = _finite(job["size"], "size")
-        if size <= 0:
-            raise ProtocolError(f"job size must be positive, got {size}")
-        return Item(item_id, size, arrival, departure)
-    raw = job["sizes"]
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ProtocolError(
-            f"job field 'sizes' must be a non-empty array, got {raw!r}"
-        )
-    sizes = tuple(_finite(s, "sizes") for s in raw)
-    try:
-        return VectorItem(item_id, sizes, arrival, departure)
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from None
+def _job_id(value) -> int:
+    """A client-supplied job id: a JSON integer, never coerced."""
+    if type(value) is not int:
+        raise ProtocolError(f"job id must be an integer, got {value!r}")
+    return value
 
 
-class AllocationService:
-    """One engine behind an asyncio JSON-lines endpoint.
+class FrontDoor:
+    """Everything up to a parsed request, shared by the service and the router.
 
-    ``request_timeout`` bounds each read-dispatch-write cycle once a
-    request has started arriving (and every write); ``idle_timeout``
-    optionally reaps connections that go silent between requests.
+    Owns the listener, the JSON-lines loop and its binary upgrade, the
+    frame loop, the reply writer and its fault seams, request parsing,
+    ``hello``, deadline budgets, the binary response encoder and the
+    error taxonomy.  A subclass supplies two coroutines:
+    ``_answer_json(request) -> response dict`` for a parsed JSON
+    request, and ``_answer_frame(payload) -> (reply payload,
+    shutdown?)`` for a binary frame.
+
+    ``request_timeout`` bounds each frame read and every write;
+    ``idle_timeout`` optionally reaps connections that go silent
+    between requests.  The counters (:meth:`_count`), the latency
+    histogram and the ``injector`` seams are inert unless a subclass
+    provides them.
     """
+
+    def __init__(
+        self,
+        *,
+        quiet: bool,
+        max_line_bytes: int,
+        request_timeout: float,
+        idle_timeout: Optional[float] = None,
+        injector: Optional[FaultInjector] = None,
+    ):
+        self.quiet = quiet
+        self.max_line_bytes = int(max_line_bytes)
+        self.request_timeout = request_timeout
+        self.idle_timeout = idle_timeout
+        self.injector = injector
+        self.requests_served = 0
+        self._latency = None
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._shutdown = asyncio.Event()
+        self._fatal: Optional[BaseException] = None
+
+    # -- lifecycle ------------------------------------------------------------
+    async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
+        """Bind and start serving; returns the actual port (for port 0)."""
+        self._server = await asyncio.start_server(
+            self._serve_connection, host, port, limit=self.max_line_bytes
+        )
+        return self._server.sockets[0].getsockname()[1]
+
+    async def wait_closed(self) -> None:
+        """Block until a ``shutdown`` op arrives, then close the socket.
+
+        Re-raises an injected :class:`KillPoint` after closing: the kill
+        fires inside a per-connection handler task, where asyncio would
+        otherwise log it and keep the server alive.
+        """
+        await self._shutdown.wait()
+        assert self._server is not None
+        self._server.close()
+        await self._server.wait_closed()
+        if self._fatal is not None:
+            raise self._fatal
+
+    async def serve_until_shutdown(self, host: str = "127.0.0.1", port: int = 0) -> int:
+        await self.start(host, port)
+        await self.wait_closed()
+        return 0
+
+    # -- the two read loops ---------------------------------------------------
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """The JSON-lines loop; a binary ``hello`` hands over to the frame loop."""
+        try:
+            while not reader.at_eof():
+                try:
+                    line = await asyncio.wait_for(
+                        reader.readline(), self.idle_timeout
+                    )
+                except asyncio.TimeoutError:
+                    self._count(_TIMEOUTS)
+                    break
+                except (asyncio.LimitOverrunError, ValueError):
+                    # the line outgrew the buffer limit: report and close —
+                    # there is no way to resynchronise mid-line
+                    self._count(_MALFORMED)
+                    await self._write_reply(writer, _line({
+                        "ok": False,
+                        "error": f"request line exceeds {self.max_line_bytes} bytes",
+                        "error_type": "line_too_long",
+                    }))
+                    break
+                if not line:
+                    break
+                if not line.endswith(b"\n") and reader.at_eof():
+                    # a torn final request: the client died mid-line
+                    self._count(_DISCONNECTS)
+                    break
+                await self._hang_point()
+                started = perf_counter()
+                self.requests_served += 1
+                try:
+                    request = self._parse_request(line)
+                except ProtocolError as exc:
+                    response = self._error_reply(exc)
+                else:
+                    response = await self._answer_json(request)
+                if not await self._send_reply(writer, _line(response), started):
+                    break
+                if response.get("bye"):
+                    self._shutdown.set()
+                    break
+                if response.get("ok") and response.get("protocol") == "binary":
+                    # the hello ack is on the wire; from the next byte
+                    # both directions speak length-prefixed binary frames
+                    await self._serve_frames(reader, writer)
+                    break
+        except (ConnectionError, asyncio.IncompleteReadError, OSError):
+            # the client vanished mid-request: count it, close cleanly —
+            # never let it surface as an unhandled task exception
+            self._count(_DISCONNECTS)
+        except KillPoint as exc:
+            # an injected crash must take the whole process down, but it
+            # fires inside this connection's task — asyncio would log it
+            # and carry on.  Escalate through the shutdown path instead.
+            self._fatal = exc
+            self._shutdown.set()
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):  # pragma: no cover
+                pass
+
+    async def _serve_frames(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """The post-hello frame loop: same ops, same taxonomy, no JSON.
+
+        Framing keeps the stream in sync, so a malformed payload inside
+        a well-formed frame is answered and the connection survives.
+        Only two defects force a close: a declared length beyond
+        ``max_line_bytes`` (``frame_too_long`` — reading it out would be
+        unbounded) and a frame torn by a disconnect.
+        """
+        header_size = wire.HEADER.size
+        unpack_header = wire.HEADER.unpack
+        while True:
+            try:
+                head = await asyncio.wait_for(
+                    reader.readexactly(header_size), self.idle_timeout
+                )
+            except asyncio.TimeoutError:
+                self._count(_TIMEOUTS)
+                return
+            except asyncio.IncompleteReadError as exc:
+                if exc.partial:  # torn header: the client died mid-frame
+                    self._count(_DISCONNECTS)
+                return
+            (length,) = unpack_header(head)
+            if length == 0 or length > self.max_line_bytes:
+                # a zero-length frame is answered and the stream goes on;
+                # an oversized one cannot be read out, so the answer closes
+                self.requests_served += 1
+                self._count(_MALFORMED)
+                if length == 0:
+                    doc = {"ok": False, "error": "zero-length frame",
+                           "error_type": "malformed_frame"}
+                else:
+                    doc = {
+                        "ok": False,
+                        "error": (
+                            f"frame declares {length} bytes, "
+                            f"limit is {self.max_line_bytes}"
+                        ),
+                        "error_type": "frame_too_long",
+                    }
+                sent = await self._write_reply(
+                    writer, wire.frame(wire.encode_json_response(doc))
+                )
+                if length or not sent:
+                    return
+                continue
+            try:
+                payload = await asyncio.wait_for(
+                    reader.readexactly(length), self.request_timeout
+                )
+            except asyncio.TimeoutError:
+                self._count(_TIMEOUTS)
+                return
+            except asyncio.IncompleteReadError:
+                self._count(_DISCONNECTS)
+                return
+            await self._hang_point()
+            started = perf_counter()
+            out, bye = await self._answer_frame(payload)
+            if not await self._send_reply(writer, wire.frame(out), started):
+                return
+            if bye:
+                self._shutdown.set()
+                return
+
+    # -- the reply writer -----------------------------------------------------
+    async def _hang_point(self) -> None:
+        """The injected hang: the process stays alive but never answers
+        again — only the supervisor's health prober (missed-probe
+        restart) can clear it."""
+        if self.injector is not None and self.injector.hang_point("request"):
+            await asyncio.Event().wait()
+
+    async def _send_reply(
+        self, writer: asyncio.StreamWriter, data: bytes, started: float
+    ) -> bool:
+        """One reply through the injected delay and drop; False ends the connection."""
+        if self.injector is not None:
+            fate, delay = self.injector.reply_fate()
+            if delay:
+                await asyncio.sleep(delay)
+            if fate == "drop":
+                self._count("repro_service_dropped_replies_total")
+                return False
+        if not await self._write_reply(writer, data):
+            return False
+        if self._latency is not None:
+            self._latency.observe(perf_counter() - started)
+        return True
+
+    async def _write_reply(self, writer: asyncio.StreamWriter, data: bytes) -> bool:
+        """Write one encoded reply (line or frame), torn-kill seam included."""
+        injector = self.injector
+        try:
+            if injector is not None and injector.reply_kill() == "tear":
+                # crash mid-reply: half the bytes reach the client, then
+                # the process dies (reply_torn raises the KillPoint)
+                writer.write(data[: max(1, len(data) // 2)])
+                await asyncio.wait_for(writer.drain(), self.request_timeout)
+                injector.reply_torn()
+            writer.write(data)
+            await asyncio.wait_for(writer.drain(), self.request_timeout)
+            return True
+        except (ConnectionError, asyncio.TimeoutError, OSError):
+            self._count(_DISCONNECTS)
+            return False
+
+    # -- decoding -------------------------------------------------------------
+    @staticmethod
+    def _parse_request(data) -> dict:
+        """One JSON request, from a line or the body of an ``OP_JSON`` frame."""
+        try:
+            request = json.loads(data)
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise ProtocolError(
+                f"malformed JSON: {exc}", "malformed_json", _MALFORMED
+            ) from None
+        if not isinstance(request, dict):
+            raise ProtocolError(
+                f"request must be a JSON object, got {type(request).__name__}",
+                counter=_MALFORMED,
+            )
+        return request
+
+    @staticmethod
+    def _budget(raw) -> Optional[float]:
+        """A deadline budget in ms (the JSON field or the v2 wrapper's).
+
+        ``None`` passes; anything but a positive number is refused.
+        """
+        if raw is None:
+            return None
+        try:
+            budget = float(raw)
+        except (TypeError, ValueError):
+            raise ProtocolError(f"deadline_ms must be a number, got {raw!r}") from None
+        if budget > 0:
+            return budget
+        raise ProtocolError(
+            f"deadline budget exhausted ({budget:.3f} ms remaining)",
+            "deadline_exceeded", _DEADLINE_EXCEEDED,
+        )
+
+    def _unwrap(self, payload):
+        """``(inner payload, budget ms or None)`` of one request frame.
+
+        The v2 DEADLINE wrapper is stripped here, at the top level only
+        — one budget covers a whole batch, and sub-requests cannot
+        carry their own.
+        """
+        payload, budget_ms = wire.unwrap_deadline(payload)
+        return payload, self._budget(budget_ms)
+
+    def _frame_request(self, sub) -> dict:
+        """A DEPART, ADVANCE or JSON sub-request as the JSON request it encodes."""
+        op = sub[0]
+        if op == wire.OP_DEPART:
+            item_id, now = wire.decode_depart(sub)
+            if now is None:
+                return {"op": "depart", "id": item_id}
+            return {"op": "depart", "id": item_id, "now": now}
+        if op == wire.OP_ADVANCE:
+            return {"op": "advance", "now": wire.decode_advance(sub)}
+        if op == wire.OP_JSON:
+            return self._parse_request(bytes(sub[1:]))
+        if op == wire.OP_BATCH:
+            raise wire.FrameError("batch frames cannot nest")
+        raise ProtocolError(f"unknown opcode 0x{op:02x}")
+
+    @staticmethod
+    def _hello(request: dict) -> dict:
+        """Protocol negotiation: the ack names the dialect both ends speak."""
+        proto = request.get("protocol", "json")
+        if proto not in wire.PROTOCOLS:
+            raise ProtocolError(
+                f"unknown protocol {proto!r}; known: {list(wire.PROTOCOLS)}"
+            )
+        version = request.get("version", wire.PROTOCOL_VERSION)
+        if not isinstance(version, int):
+            raise ProtocolError(
+                f"protocol version must be an integer, got {version!r}"
+            )
+        agreed = wire.negotiate_version(version)
+        if agreed is None:
+            raise ProtocolError(
+                f"unsupported protocol version {version!r} (this server "
+                f"speaks {wire.MIN_PROTOCOL_VERSION}.."
+                f"{wire.PROTOCOL_VERSION})"
+            )
+        return {"ok": True, "protocol": proto, "version": agreed}
+
+    # -- encoding -------------------------------------------------------------
+    @staticmethod
+    def _encode_reply(response: dict) -> bytes:
+        """A response dict in the binary response scheme."""
+        if response.get("ok"):
+            placement = response.get("placement")
+            if placement is not None:
+                return wire.encode_placement(
+                    placement["item_id"], placement["action"], placement["bin"],
+                    placement["new_bin"], placement["time"],
+                    duplicate=bool(response.get("duplicate")),
+                )
+            if "clock" in response:
+                if "departed" in response:
+                    return wire.encode_clock(
+                        response["clock"], response["departed"]
+                    )
+                if len(response) == 2:
+                    return wire.encode_clock(response["clock"])
+        return wire.encode_json_response(response)
+
+    def _error_reply(self, exc: Exception) -> dict:
+        """The error taxonomy: one refused request as its error document."""
+        if isinstance(exc, wire.FrameError):
+            error_type, counter, error = "malformed_frame", _MALFORMED, str(exc)
+        elif isinstance(exc, ProtocolError):
+            error_type, counter, error = exc.error_type, exc.counter, str(exc)
+        elif isinstance(exc, (ValueError, KeyError)):
+            # engine-level refusals (time-ordering, unknown ids, ...)
+            detail = exc.args[0] if exc.args else exc
+            error_type, counter, error = "rejected", _PROTOCOL_ERRORS, str(detail)
+        elif isinstance(exc, OSError):
+            # WAL I/O failure: the operation was refused, state is intact
+            error_type, counter = "wal_unavailable", None
+            error = f"durability failure: {exc}"
+        else:  # protocol boundary: report, don't crash
+            error_type, counter = "internal", _INTERNAL_ERRORS
+            error = f"{type(exc).__name__}: {exc}"
+        if counter is not None:
+            self._count(counter)
+        return {"ok": False, "error": error, "error_type": error_type}
+
+    def _count(self, name: str) -> None:
+        """Bump a front-door counter (inert unless a subclass keeps them)."""
+
+    # -- what a subclass answers ----------------------------------------------
+    async def _answer_json(self, request: dict) -> dict:
+        raise NotImplementedError
+
+    async def _answer_frame(self, payload) -> tuple[bytes, bool]:
+        raise NotImplementedError
+
+
+def _line(response: dict) -> bytes:
+    return (json.dumps(response) + "\n").encode()
+
+
+class AllocationService(FrontDoor):
+    """One engine behind the front door."""
 
     def __init__(
         self,
@@ -193,29 +571,27 @@ class AllocationService:
         defrag_budget: int = 0,
         defrag_interval: float = 0.5,
     ):
+        super().__init__(
+            quiet=quiet,
+            max_line_bytes=max_line_bytes,
+            request_timeout=request_timeout,
+            idle_timeout=idle_timeout,
+            injector=injector,
+        )
         self.engine = engine
-        self.quiet = quiet
         #: fleet identity; None = standalone service (stats unchanged)
         self.shard = shard
-        self.max_line_bytes = int(max_line_bytes)
-        self.request_timeout = request_timeout
-        self.idle_timeout = idle_timeout
-        self.injector = injector
         #: background defragmenter: every ``defrag_interval`` wall-clock
         #: seconds, migrate up to ``defrag_budget`` items (0 = off)
         self.defrag_budget = int(defrag_budget)
         self.defrag_interval = float(defrag_interval)
         self._defrag_task: Optional[asyncio.Task] = None
         self._durable = isinstance(engine, DurableEngine)
-        #: idempotency window for non-durable engines (a durable engine
-        #: owns its own, rebuilt by recovery)
+        #: the idempotency window: a durable engine owns its own,
+        #: rebuilt by recovery
         self._dedup = engine.dedup if self._durable else DedupWindow()
         base = engine.engine if self._durable else engine
         self._scalar = isinstance(base.state, PackingState)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._shutdown = asyncio.Event()
-        self._fatal: Optional[BaseException] = None
-        self.requests_served = 0
         #: service-owned observables (request latency): kept *out* of the
         #: engine registry on purpose — engine metrics are checkpointed
         #: and differential-compared, and wall-clock latency is neither
@@ -232,10 +608,7 @@ class AllocationService:
     # -- lifecycle ------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Bind and start serving; returns the actual port (for port 0)."""
-        self._server = await asyncio.start_server(
-            self._handle, host, port, limit=self.max_line_bytes
-        )
-        bound = self._server.sockets[0].getsockname()[1]
+        bound = await super().start(host, port)
         if self.defrag_budget > 0:
             self._defrag_task = asyncio.get_running_loop().create_task(
                 self._defrag_loop()
@@ -265,12 +638,6 @@ class AllocationService:
             self._shutdown.set()
 
     async def wait_closed(self) -> None:
-        """Block until a ``shutdown`` op arrives, then close the socket.
-
-        Re-raises an injected :class:`KillPoint` after closing: the kill
-        fires inside a per-connection handler task, where asyncio would
-        otherwise log it and keep the server alive.
-        """
         await self._shutdown.wait()
         if self._defrag_task is not None:
             self._defrag_task.cancel()
@@ -279,214 +646,37 @@ class AllocationService:
             except asyncio.CancelledError:
                 pass
             self._defrag_task = None
-        assert self._server is not None
-        self._server.close()
-        await self._server.wait_closed()
-        if self._fatal is not None:
-            raise self._fatal
+        await super().wait_closed()
 
-    async def serve_until_shutdown(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        await self.start(host, port)
-        await self.wait_closed()
-        return 0
-
-    # -- protocol -------------------------------------------------------------
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        try:
-            while not reader.at_eof():
-                try:
-                    line = await asyncio.wait_for(
-                        reader.readline(), self.idle_timeout
-                    )
-                except asyncio.TimeoutError:
-                    self._count("repro_service_request_timeouts_total")
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    # the line outgrew the buffer limit: report and close —
-                    # there is no way to resynchronise mid-line
-                    self._count("repro_service_malformed_requests_total")
-                    await self._reply(
-                        writer,
-                        {
-                            "ok": False,
-                            "error": f"request line exceeds {self.max_line_bytes} bytes",
-                            "error_type": "line_too_long",
-                        },
-                    )
-                    break
-                if not line:
-                    break
-                if not line.endswith(b"\n") and reader.at_eof():
-                    # a torn final request: the client died mid-line
-                    self._count("repro_service_disconnects_total")
-                    break
-                if self.injector is not None and self.injector.hang_point("request"):
-                    # injected hang: the process stays alive but never
-                    # answers again — only the supervisor's health
-                    # prober (missed-probe restart) can clear this
-                    await asyncio.Event().wait()
-                started = perf_counter()
-                response = self._dispatch_line(line)
-                if self.injector is not None:
-                    fate, delay = self.injector.reply_fate()
-                    if delay:
-                        await asyncio.sleep(delay)
-                    if fate == "drop":
-                        self._count("repro_service_dropped_replies_total")
-                        break
-                sent = await self._reply(writer, response)
-                if not sent:
-                    break
-                self._latency.observe(perf_counter() - started)
-                if response.get("bye"):
-                    self._shutdown.set()
-                    break
-                if response.get("ok") and response.get("protocol") == "binary":
-                    # the hello ack is on the wire; from the next byte
-                    # both directions speak length-prefixed binary frames
-                    await self._handle_binary(reader, writer)
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            # the client vanished mid-request: count it, close cleanly —
-            # never let it surface as an unhandled task exception
-            self._count("repro_service_disconnects_total")
-        except KillPoint as exc:
-            # an injected crash must take the whole process down, but it
-            # fires inside this connection's task — asyncio would log it
-            # and carry on.  Escalate through the shutdown path instead.
-            self._fatal = exc
-            self._shutdown.set()
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _reply(self, writer: asyncio.StreamWriter, response: dict) -> bool:
-        """Send one response line; False when the client is gone."""
-        return await self._write_reply(
-            writer, (json.dumps(response) + "\n").encode()
-        )
-
-    async def _write_reply(self, writer: asyncio.StreamWriter, data: bytes) -> bool:
-        """Write one encoded reply (line or frame), torn-kill seam included."""
-        injector = self.injector
-        try:
-            if injector is not None and injector.reply_kill() == "tear":
-                # crash mid-reply: half the bytes reach the client, then
-                # the process dies (reply_torn raises the KillPoint)
-                writer.write(data[: max(1, len(data) // 2)])
-                await asyncio.wait_for(writer.drain(), self.request_timeout)
-                injector.reply_torn()
-            writer.write(data)
-            await asyncio.wait_for(writer.drain(), self.request_timeout)
-            return True
-        except (ConnectionError, asyncio.TimeoutError, OSError):
-            self._count("repro_service_disconnects_total")
-            return False
-
-    def _dispatch_line(self, line: bytes) -> dict:
-        self.requests_served += 1
-        try:
-            request = json.loads(line)
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._count("repro_service_malformed_requests_total")
-            return {
-                "ok": False,
-                "error": f"malformed JSON: {exc}",
-                "error_type": "malformed_json",
-            }
-        if not isinstance(request, dict):
-            self._count("repro_service_malformed_requests_total")
-            return {
-                "ok": False,
-                "error": f"request must be a JSON object, got {type(request).__name__}",
-                "error_type": "protocol",
-            }
+    # -- JSON requests --------------------------------------------------------
+    async def _answer_json(self, request: dict) -> dict:
         return self._dispatch_safely(request)
-
-    def _deadline_expired(self, budget_ms) -> Optional[dict]:
-        """The refusal doc when a request's deadline budget is spent."""
-        try:
-            budget = float(budget_ms)
-        except (TypeError, ValueError):
-            self._count("repro_service_protocol_errors_total")
-            return {
-                "ok": False,
-                "error": f"deadline_ms must be a number, got {budget_ms!r}",
-                "error_type": "protocol",
-            }
-        if budget > 0:
-            return None
-        self._count("repro_service_deadline_exceeded_total")
-        return {
-            "ok": False,
-            "error": f"deadline budget exhausted ({budget:.3f} ms remaining)",
-            "error_type": "deadline_exceeded",
-        }
 
     def _dispatch_safely(self, request: dict) -> dict:
         """Dispatch one parsed request under the full error taxonomy."""
-        budget_ms = request.get("deadline_ms")
-        if budget_ms is not None:
-            expired = self._deadline_expired(budget_ms)
-            if expired is not None:
-                return expired
         try:
+            self._budget(request.get("deadline_ms"))
             return self._dispatch(request)
-        except ProtocolError as exc:
-            self._count("repro_service_protocol_errors_total")
-            return {"ok": False, "error": str(exc), "error_type": "protocol"}
-        except (ValueError, KeyError) as exc:
-            # engine-level refusals (time-ordering, unknown ids, ...)
-            self._count("repro_service_protocol_errors_total")
-            detail = exc.args[0] if exc.args else str(exc)
-            return {"ok": False, "error": str(detail), "error_type": "rejected"}
-        except OSError as exc:
-            # WAL I/O failure: the operation was refused, state is intact
-            return {
-                "ok": False,
-                "error": f"durability failure: {exc}",
-                "error_type": "wal_unavailable",
-            }
-        except Exception as exc:  # protocol boundary: report, don't crash
-            self._count("repro_service_internal_errors_total")
-            return {
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_type": "internal",
-            }
+        except Exception as exc:
+            return self._error_reply(exc)
 
     def _dispatch(self, request: dict) -> dict:
         op = request.get("op")
         engine = self.engine
-        injector = self.injector
         if op == "submit":
             if "job" not in request:
                 raise ProtocolError("submit needs a 'job' object")
-            item = _job_from_request(request["job"], self._scalar)
-            if injector is not None and injector.plan.clock_skew:
-                item = replace(item, arrival=injector.skew(item.arrival))
             rid = request.get("request_id")
-            if rid is not None:
-                rid = str(rid)
-            if self._durable:
-                placement = engine.submit(item, request_id=rid)
-            else:
-                if rid is not None:
-                    cached = self._dedup.get(rid)
-                    if cached is not None:
-                        self._count("repro_service_duplicate_requests_total")
-                        return {"ok": True, "placement": cached, "duplicate": True}
-                placement = engine.submit(item)
-                if rid is not None:
-                    self._dedup.put(rid, placement.to_dict())
-            return {"ok": True, "placement": placement.to_dict()}
+            return self._submit(
+                self._job_item(request["job"]), None if rid is None else str(rid)
+            )
         if op == "depart":
             if "id" not in request:
                 raise ProtocolError("depart needs an 'id'")
-            engine.depart(int(request["id"]), request.get("now"))
+            now = request.get("now")
+            engine.depart(
+                _job_id(request["id"]), None if now is None else _finite(now, "now")
+            )
             return {"ok": True, "clock": engine.clock}
         if op == "advance":
             if "now" not in request:
@@ -561,466 +751,173 @@ class AllocationService:
         if op == "shutdown":
             return {"ok": True, "bye": True}
         if op == "hello":
-            proto = request.get("protocol", "json")
-            if proto not in wire.PROTOCOLS:
-                raise ProtocolError(
-                    f"unknown protocol {proto!r}; known: {list(wire.PROTOCOLS)}"
-                )
-            version = request.get("version", wire.PROTOCOL_VERSION)
-            if not isinstance(version, int):
-                raise ProtocolError(
-                    f"protocol version must be an integer, got {version!r}"
-                )
-            agreed = wire.negotiate_version(version)
-            if agreed is None:
-                raise ProtocolError(
-                    f"unsupported protocol version {version!r} (this server "
-                    f"speaks {wire.MIN_PROTOCOL_VERSION}.."
-                    f"{wire.PROTOCOL_VERSION})"
-                )
-            return {"ok": True, "protocol": proto, "version": agreed}
+            return self._hello(request)
         raise ProtocolError(f"unknown op {op!r}")
 
-    # -- binary protocol ------------------------------------------------------
-    async def _handle_binary(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """The post-hello frame loop: same ops, same taxonomy, no JSON.
+    # -- submits --------------------------------------------------------------
+    def _job_item(self, job):
+        """A JSON ``job`` object as an item (see :meth:`_build_item`)."""
+        if not isinstance(job, dict):
+            raise ProtocolError(f"'job' must be an object, got {type(job).__name__}")
+        size_field = "size" if self._scalar else "sizes"
+        missing = [k for k in ("id", size_field, "arrival", "departure") if k not in job]
+        if missing:
+            raise ProtocolError(f"job record is missing field {missing[0]!r}")
+        return self._build_item(
+            job["id"], job[size_field], job["arrival"], job["departure"],
+            not self._scalar,
+        )
 
-        Framing keeps the stream in sync, so a malformed payload inside
-        a well-formed frame is answered and the connection survives.
-        Only two defects force a close: a declared length beyond
-        ``max_line_bytes`` (``frame_too_long`` — reading it out would be
-        unbounded) and a frame torn by a disconnect.
+    def _build_item(self, item_id, size, arrival, departure, vector: bool):
+        """The one validator: a job's decoded fields, from either protocol, as an item.
+
+        Refuses (as ``protocol`` errors) an id that is not an integer,
+        a non-finite or non-numeric time or size, a departure not after
+        the arrival, a non-positive size and an item of the wrong kind
+        for the engine.  An injected clock skew moves the arrival of
+        the validated item.
         """
-        header_size = wire.HEADER.size
-        unpack_header = wire.HEADER.unpack
-        while True:
-            try:
-                head = await asyncio.wait_for(
-                    reader.readexactly(header_size), self.idle_timeout
-                )
-            except asyncio.TimeoutError:
-                self._count("repro_service_request_timeouts_total")
-                return
-            except asyncio.IncompleteReadError as exc:
-                if exc.partial:  # torn header: the client died mid-frame
-                    self._count("repro_service_disconnects_total")
-                return
-            (length,) = unpack_header(head)
-            if length == 0:
-                self.requests_served += 1
-                self._count("repro_service_malformed_requests_total")
-                out = wire.encode_json_response({
-                    "ok": False,
-                    "error": "zero-length frame",
-                    "error_type": "malformed_frame",
-                })
-                if not await self._write_reply(writer, wire.frame(out)):
-                    return
-                continue
-            if length > self.max_line_bytes:
-                self.requests_served += 1
-                self._count("repro_service_malformed_requests_total")
-                out = wire.encode_json_response({
-                    "ok": False,
-                    "error": (
-                        f"frame declares {length} bytes, "
-                        f"limit is {self.max_line_bytes}"
-                    ),
-                    "error_type": "frame_too_long",
-                })
-                await self._write_reply(writer, wire.frame(out))
-                return
-            try:
-                payload = await asyncio.wait_for(
-                    reader.readexactly(length), self.request_timeout
-                )
-            except asyncio.TimeoutError:
-                self._count("repro_service_request_timeouts_total")
-                return
-            except asyncio.IncompleteReadError:
-                self._count("repro_service_disconnects_total")
-                return
-            if self.injector is not None and self.injector.hang_point("request"):
-                # injected hang: alive but silent (see the JSON loop)
-                await asyncio.Event().wait()
-            started = perf_counter()
-            out, bye = self._dispatch_frame(payload)
-            if self.injector is not None:
-                fate, delay = self.injector.reply_fate()
-                if delay:
-                    await asyncio.sleep(delay)
-                if fate == "drop":
-                    self._count("repro_service_dropped_replies_total")
-                    return
-            if not await self._write_reply(writer, wire.frame(out)):
-                return
-            self._latency.observe(perf_counter() - started)
-            if bye:
-                self._shutdown.set()
-                return
-
-    def _dispatch_frame(self, payload) -> tuple[bytes, bool]:
-        """One frame payload -> ``(response payload, shutdown?)``.
-
-        A v2 DEADLINE wrapper is stripped here, at the top level only —
-        one budget covers a whole batch, and sub-requests cannot carry
-        their own.
-        """
-        try:
-            payload, budget_ms = wire.unwrap_deadline(payload)
-        except wire.FrameError as exc:
-            self.requests_served += 1
-            return self._frame_error(exc), False
-        if budget_ms is not None and budget_ms <= 0:
-            self.requests_served += 1
-            self._count("repro_service_deadline_exceeded_total")
-            return wire.encode_json_response({
-                "ok": False,
-                "error": (
-                    f"deadline budget exhausted ({budget_ms:.3f} ms remaining)"
-                ),
-                "error_type": "deadline_exceeded",
-            }), False
-        if payload[0] == wire.OP_BATCH:
-            return self._dispatch_batch(payload)
-        return self._dispatch_binary_one(payload)
-
-    def _dispatch_binary_one(self, sub) -> tuple[bytes, bool]:
-        """One non-batch sub-request (top-level or inside a batch)."""
-        self.requests_served += 1
-        op = sub[0]
-        if op == wire.OP_SUBMIT:
-            return self._binary_submit(sub), False
-        if op == wire.OP_DEPART:
-            try:
-                item_id, now = wire.decode_depart(sub)
-            except wire.FrameError as exc:
-                return self._frame_error(exc), False
-            request: dict = {"op": "depart", "id": item_id}
-            if now is not None:
-                request["now"] = now
-            return self._encode_response(self._dispatch_safely(request)), False
-        if op == wire.OP_ADVANCE:
-            try:
-                now = wire.decode_advance(sub)
-            except wire.FrameError as exc:
-                return self._frame_error(exc), False
-            response = self._dispatch_safely({"op": "advance", "now": now})
-            return self._encode_response(response), False
-        if op == wire.OP_JSON:
-            try:
-                request = json.loads(bytes(sub[1:]))
-            except (ValueError, UnicodeDecodeError) as exc:
-                self._count("repro_service_malformed_requests_total")
-                return wire.encode_json_response({
-                    "ok": False,
-                    "error": f"malformed JSON: {exc}",
-                    "error_type": "malformed_json",
-                }), False
-            if not isinstance(request, dict):
-                self._count("repro_service_malformed_requests_total")
-                return wire.encode_json_response({
-                    "ok": False,
-                    "error": (
-                        "request must be a JSON object, "
-                        f"got {type(request).__name__}"
-                    ),
-                    "error_type": "protocol",
-                }), False
-            response = self._dispatch_safely(request)
-            return self._encode_response(response), bool(response.get("bye"))
-        if op == wire.OP_BATCH:
-            return self._frame_error(
-                wire.FrameError("batch frames cannot nest")
-            ), False
-        self._count("repro_service_protocol_errors_total")
-        return wire.encode_json_response({
-            "ok": False,
-            "error": f"unknown opcode 0x{op:02x}",
-            "error_type": "protocol",
-        }), False
-
-    def _binary_submit(self, sub) -> bytes:
-        try:
-            item_id, size, arrival, departure, vector, rid = wire.decode_submit(sub)
-        except wire.FrameError as exc:
-            return self._frame_error(exc)
-        try:
-            item = self._binary_item(item_id, size, arrival, departure, vector)
-        except ProtocolError as exc:
-            self._count("repro_service_protocol_errors_total")
-            return wire.encode_json_response(
-                {"ok": False, "error": str(exc), "error_type": "protocol"}
-            )
-        injector = self.injector
-        if injector is not None and injector.plan.clock_skew:
-            item = replace(item, arrival=injector.skew(item.arrival))
-        return self._submit_one(item, rid)
-
-    def _binary_item(self, item_id, size, arrival, departure, vector: bool):
-        """Decoded submit fields -> an item, validated like the JSON path."""
         if vector == self._scalar:
             kind = "vector" if vector else "scalar"
             want = "scalar" if self._scalar else "vector"
             raise ProtocolError(f"{kind} submit against a {want} engine")
-        if not (math.isfinite(arrival) and math.isfinite(departure)):
-            raise ProtocolError("job times must be finite")
+        item_id = _job_id(item_id)
+        arrival = _finite(arrival, "arrival")
+        departure = _finite(departure, "departure")
         if departure <= arrival:
             raise ProtocolError(
                 f"job departure ({departure}) must be after arrival ({arrival})"
             )
         if vector:
-            for s in size:
-                if not math.isfinite(s):
-                    raise ProtocolError(f"job field 'sizes' must be finite, got {s!r}")
+            if not isinstance(size, (list, tuple)) or not size:
+                raise ProtocolError(
+                    f"job field 'sizes' must be a non-empty array, got {size!r}"
+                )
+            sizes = tuple(_finite(s, "sizes") for s in size)
             try:
-                return VectorItem(item_id, size, arrival, departure)
+                item = VectorItem(item_id, sizes, arrival, departure)
             except ValueError as exc:
                 raise ProtocolError(str(exc)) from None
-        if not math.isfinite(size):
-            raise ProtocolError(f"job field 'size' must be finite, got {size!r}")
-        if size <= 0:
-            raise ProtocolError(f"job size must be positive, got {size}")
-        # the checks above are a strict superset of Item.__post_init__'s
-        # (isfinite implies not-NaN), so build the frozen instance
-        # directly instead of paying the dataclass __init__ plus a
-        # second validation pass on every submit
-        item = _ITEM_NEW(Item)
-        _FROZEN_SET(item, "item_id", item_id)
-        _FROZEN_SET(item, "size", size)
-        _FROZEN_SET(item, "arrival", arrival)
-        _FROZEN_SET(item, "departure", departure)
+        else:
+            size = _finite(size, "size")
+            if size <= 0:
+                raise ProtocolError(f"job size must be positive, got {size}")
+            item = Item(item_id, size, arrival, departure)
+        injector = self.injector
+        if injector is not None and injector.plan.clock_skew:
+            item = replace(item, arrival=injector.skew(item.arrival))
         return item
 
-    def _submit_one(self, item, rid: Optional[str]) -> bytes:
-        """The binary submit hot path; same taxonomy as the JSON path."""
-        engine = self.engine
-        try:
-            if self._durable:
-                placement = engine.submit(item, request_id=rid)
-                return wire.encode_placement(
-                    placement.item_id, placement.action, placement.bin_index,
-                    placement.new_bin, placement.time,
-                )
-            if rid is not None:
-                cached = self._dedup.get(rid)
-                if cached is not None:
-                    self._count("repro_service_duplicate_requests_total")
-                    return wire.encode_placement(
-                        cached["item_id"], cached["action"], cached["bin"],
-                        cached["new_bin"], cached["time"], duplicate=True,
-                    )
-            placement = engine.submit(item)
+    def _decode_submit(self, sub):
+        """One SUBMIT payload as ``(item, request id or None)``."""
+        item_id, size, arrival, departure, vector, rid = wire.decode_submit(sub)
+        return self._build_item(item_id, size, arrival, departure, vector), rid
+
+    def _submit(self, item, rid: Optional[str]) -> dict:
+        """The one submit body: idempotency window, then the engine.
+
+        A request id already in the window is answered with its cached
+        placement, flagged ``duplicate``, on every kind of engine.
+        """
+        if rid is not None:
+            cached = self._dedup.get(rid)
+            if cached is not None:
+                self._count("repro_service_duplicate_requests_total")
+                return {"ok": True, "placement": cached, "duplicate": True}
+        if self._durable:
+            placement = self.engine.submit(item, request_id=rid)
+        else:
+            placement = self.engine.submit(item)
             if rid is not None:
                 self._dedup.put(rid, placement.to_dict())
-            return wire.encode_placement(
-                placement.item_id, placement.action, placement.bin_index,
-                placement.new_bin, placement.time,
-            )
-        except (ValueError, KeyError) as exc:
-            self._count("repro_service_protocol_errors_total")
-            detail = exc.args[0] if exc.args else str(exc)
-            return wire.encode_json_response(
-                {"ok": False, "error": str(detail), "error_type": "rejected"}
-            )
-        except OSError as exc:
-            return wire.encode_json_response({
-                "ok": False,
-                "error": f"durability failure: {exc}",
-                "error_type": "wal_unavailable",
-            })
-        except Exception as exc:
-            self._count("repro_service_internal_errors_total")
-            return wire.encode_json_response({
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_type": "internal",
-            })
+        return {"ok": True, "placement": placement.to_dict()}
 
-    def _dispatch_batch(self, payload) -> tuple[bytes, bool]:
+    # -- binary frames --------------------------------------------------------
+    async def _answer_frame(self, payload) -> tuple[bytes, bool]:
+        return self._dispatch_frame(payload)
+
+    def _dispatch_frame(self, payload) -> tuple[bytes, bool]:
+        """One frame payload -> ``(response payload, shutdown?)``."""
         try:
-            subs = wire.split_batch(payload)
-        except wire.FrameError as exc:
+            payload, _ = self._unwrap(payload)
+            subs = wire.split_batch(payload) if payload[0] == wire.OP_BATCH else None
+        except (wire.FrameError, ProtocolError) as exc:
             self.requests_served += 1
-            return self._frame_error(exc), False
-        op_submit = wire.OP_SUBMIT
-        if all(sub[0] == op_submit for sub in subs):
-            return self._dispatch_submit_batch(subs), False
+            return wire.encode_json_response(self._error_reply(exc)), False
+        if subs is None:
+            self.requests_served += 1
+            return self._answer_sub(payload)
+        self.requests_served += len(subs)
+        if self._durable and all(sub[0] == wire.OP_SUBMIT for sub in subs):
+            return self._submit_many(subs), False
         parts: list[bytes] = []
         bye = False
         for sub in subs:
-            out, sub_bye = self._dispatch_binary_one(sub)
+            out, sub_bye = self._answer_sub(sub)
             bye = bye or sub_bye
             parts.append(out)
         return wire.encode_batch(parts), bye
 
-    def _dispatch_submit_batch(self, subs) -> bytes:
-        """An all-submit batch: decode everything, then one engine pass.
+    def _answer_sub(self, sub) -> tuple[bytes, bool]:
+        """One non-batch sub-request (top-level or inside a batch)."""
+        try:
+            if sub[0] == wire.OP_SUBMIT:
+                response = self._submit(*self._decode_submit(sub))
+            else:
+                response = self._dispatch_safely(self._frame_request(sub))
+        except Exception as exc:
+            response = self._error_reply(exc)
+        return self._encode_reply(response), bool(response.get("bye"))
 
-        On a durable engine the whole batch goes through
-        :meth:`~repro.service.recovery.DurableEngine.submit_many` — one
-        WAL group-commit window (one fsync under ``fsync="always"``)
-        instead of one per job.
+    def _submit_many(self, subs) -> bytes:
+        """An all-submit batch on a durable engine: decode everything, then
+        one :meth:`~repro.service.recovery.DurableEngine.submit_many` —
+        one WAL group-commit window (one fsync under ``fsync="always"``)
+        instead of one per job.  Its ``cached`` outcome is a replay,
+        flagged like the single-submit path flags one.
         """
-        self.requests_served += len(subs)
-        parts: list = [None] * len(subs)
-        decode = wire.decode_submit
-        injector = self.injector
-        skewing = injector is not None and injector.plan.clock_skew
-        if self._durable:
-            # two-phase: decode the whole batch, then one group-commit
-            # window through submit_many
-            requests: list = []
-            indices: list[int] = []
-            for i, sub in enumerate(subs):
-                try:
-                    item_id, size, arrival, departure, vector, rid = decode(sub)
-                    item = self._binary_item(item_id, size, arrival, departure, vector)
-                except wire.FrameError as exc:
-                    parts[i] = self._frame_error(exc)
-                    continue
-                except ProtocolError as exc:
-                    self._count("repro_service_protocol_errors_total")
-                    parts[i] = wire.encode_json_response(
-                        {"ok": False, "error": str(exc), "error_type": "protocol"}
-                    )
-                    continue
-                if skewing:
-                    item = replace(item, arrival=injector.skew(item.arrival))
-                indices.append(i)
-                requests.append((item, rid))
-            if requests:
-                outcomes = self.engine.submit_many(requests)
-                for i, outcome in zip(indices, outcomes):
-                    parts[i] = self._encode_outcome(outcome)
-            return wire.encode_batch(parts)
-        # non-durable: single fused pass (this loop IS the loopback hot
-        # path — every call it avoids per job is measurable in bench)
-        engine = self.engine
-        binary_item = self._binary_item
-        encode_placement = wire.encode_placement
+        replies: list = [None] * len(subs)
+        requests: list = []
+        indices: list[int] = []
         for i, sub in enumerate(subs):
             try:
-                item_id, size, arrival, departure, vector, rid = decode(sub)
-                item = binary_item(item_id, size, arrival, departure, vector)
-            except wire.FrameError as exc:
-                parts[i] = self._frame_error(exc)
-                continue
-            except ProtocolError as exc:
-                self._count("repro_service_protocol_errors_total")
-                parts[i] = wire.encode_json_response(
-                    {"ok": False, "error": str(exc), "error_type": "protocol"}
-                )
-                continue
-            if skewing:
-                item = replace(item, arrival=injector.skew(item.arrival))
-            if rid is not None:
-                parts[i] = self._submit_one(item, rid)
-                continue
-            try:
-                p = engine.submit(item)
-            except (ValueError, KeyError) as exc:
-                self._count("repro_service_protocol_errors_total")
-                detail = exc.args[0] if exc.args else str(exc)
-                parts[i] = wire.encode_json_response(
-                    {"ok": False, "error": str(detail), "error_type": "rejected"}
-                )
-                continue
+                requests.append(self._decode_submit(sub))
             except Exception as exc:
-                self._count("repro_service_internal_errors_total")
-                parts[i] = wire.encode_json_response({
-                    "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "error_type": "internal",
-                })
-                continue
-            parts[i] = encode_placement(
-                p.item_id, p.action, p.bin_index, p.new_bin, p.time
-            )
-        return wire.encode_batch(parts)
-
-    def _encode_outcome(self, outcome) -> bytes:
-        """One :meth:`submit_many` outcome as a binary sub-response."""
-        kind, value = outcome
-        if kind == "placed":
-            return wire.encode_placement(
-                value.item_id, value.action, value.bin_index,
-                value.new_bin, value.time,
-            )
-        if kind == "cached":
-            # the durable dedup window answers with the original
-            # placement, unflagged — exactly what the JSON path sends
-            return wire.encode_placement(
-                value["item_id"], value["action"], value["bin"],
-                value["new_bin"], value["time"],
-            )
-        exc = value
-        if isinstance(exc, OSError):
-            return wire.encode_json_response({
-                "ok": False,
-                "error": f"durability failure: {exc}",
-                "error_type": "wal_unavailable",
-            })
-        self._count("repro_service_protocol_errors_total")
-        detail = exc.args[0] if exc.args else str(exc)
-        return wire.encode_json_response(
-            {"ok": False, "error": str(detail), "error_type": "rejected"}
-        )
-
-    def _frame_error(self, exc: Exception) -> bytes:
-        self._count("repro_service_malformed_requests_total")
-        return wire.encode_json_response(
-            {"ok": False, "error": str(exc), "error_type": "malformed_frame"}
-        )
-
-    def _encode_response(self, response: dict) -> bytes:
-        """A dispatch result re-encoded in the binary response scheme."""
-        if response.get("ok"):
-            placement = response.get("placement")
-            if placement is not None:
-                return wire.encode_placement(
-                    placement["item_id"], placement["action"], placement["bin"],
-                    placement["new_bin"], placement["time"],
-                    duplicate=bool(response.get("duplicate")),
-                )
-            if "clock" in response:
-                if "departed" in response:
-                    return wire.encode_clock(
-                        response["clock"], response["departed"]
-                    )
-                if len(response) == 2:
-                    return wire.encode_clock(response["clock"])
-        return wire.encode_json_response(response)
+                replies[i] = self._error_reply(exc)
+            else:
+                indices.append(i)
+        if requests:
+            for i, (kind, value) in zip(indices, self.engine.submit_many(requests)):
+                if kind == "placed":
+                    replies[i] = {"ok": True, "placement": value.to_dict()}
+                elif kind == "cached":
+                    replies[i] = {"ok": True, "placement": value, "duplicate": True}
+                else:
+                    replies[i] = self._error_reply(value)
+        return wire.encode_batch([self._encode_reply(r) for r in replies])
 
     # -- metrics plumbing -----------------------------------------------------
     def _declare_metrics(self, reg: MetricsRegistry) -> None:
         for name, help_text in (
-            ("repro_service_malformed_requests_total",
-             "requests that were not valid JSON"),
-            ("repro_service_protocol_errors_total",
-             "structurally invalid or refused requests"),
-            ("repro_service_internal_errors_total",
-             "requests that hit an unexpected server error"),
-            ("repro_service_disconnects_total",
-             "client connections lost mid-request"),
-            ("repro_service_request_timeouts_total",
-             "connections reaped by the idle timeout"),
+            (_MALFORMED, "requests that were not valid JSON"),
+            (_PROTOCOL_ERRORS, "structurally invalid or refused requests"),
+            (_INTERNAL_ERRORS, "requests that hit an unexpected server error"),
+            (_DISCONNECTS, "client connections lost mid-request"),
+            (_TIMEOUTS, "connections reaped by the idle timeout"),
             ("repro_service_dropped_replies_total",
              "replies dropped by fault injection"),
             ("repro_service_duplicate_requests_total",
              "submits answered from the idempotency window"),
-            ("repro_service_deadline_exceeded_total",
+            (_DEADLINE_EXCEEDED,
              "requests refused because their deadline budget was spent"),
         ):
             if name not in reg:
                 reg.counter(name, help_text)
 
-    def _count(self, name: str, amount: float = 1.0) -> None:
+    def _count(self, name: str) -> None:
         metrics = self.engine.metrics
         if metrics is not None and name in metrics:
-            metrics.get(name).inc(amount)
+            metrics.get(name).inc()
 
 
 async def serve(

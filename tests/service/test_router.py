@@ -427,10 +427,12 @@ def test_handoff_mid_stream_loses_nothing(tmp_path):
                 doc = await call({"op": "handoff", "shard": shard})
                 assert doc["ok"] and "port" in doc, doc
             # replay a few acknowledged submits: the recovered dedup
-            # window must serve the cached outcome, not double-place
+            # window must serve the cached outcome, not double-place,
+            # and flag it as a replay
             for it in items[:10]:
                 doc = await call(submit_doc(it))
-                assert doc == first[it.item_id], it.item_id
+                assert doc["placement"] == first[it.item_id]["placement"], it.item_id
+                assert doc["duplicate"] is True, it.item_id
         for it in items[half:]:
             doc = await call(submit_doc(it))
             assert doc["ok"], doc
