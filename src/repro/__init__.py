@@ -33,73 +33,49 @@ Package map
 - :mod:`repro.experiments` — the per-figure/table reproduction harness.
 """
 
-from .algorithms import (
-    ALGORITHM_REGISTRY,
-    AnyFitAlgorithm,
-    BestFit,
-    ClassifiedNextFit,
-    FirstFit,
-    HybridFirstFit,
-    LastFit,
-    NextFit,
-    PackingAlgorithm,
-    RandomFit,
-    WorstFit,
-    make_algorithm,
-)
-from .core import (
-    Bin,
-    Interval,
-    Item,
-    ItemList,
-    PackingResult,
-    PackingState,
-    event_sequence,
-    run_packing,
-    span,
-)
-from .opt import (
-    BinCountBracket,
-    OptTotalBracket,
-    competitive_ratio_bracket,
-    exact_bin_count,
-    fractional_ceiling_bound,
-    opt_total,
-    prop1_time_space_bound,
-    prop2_span_bound,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALGORITHM_REGISTRY",
-    "AnyFitAlgorithm",
-    "BestFit",
-    "Bin",
-    "BinCountBracket",
-    "ClassifiedNextFit",
-    "FirstFit",
-    "HybridFirstFit",
-    "Interval",
-    "Item",
-    "ItemList",
-    "LastFit",
-    "NextFit",
-    "OptTotalBracket",
-    "PackingAlgorithm",
-    "PackingResult",
-    "PackingState",
-    "RandomFit",
-    "WorstFit",
-    "__version__",
-    "competitive_ratio_bracket",
-    "event_sequence",
-    "exact_bin_count",
-    "fractional_ceiling_bound",
-    "make_algorithm",
-    "opt_total",
-    "prop1_time_space_bound",
-    "prop2_span_bound",
-    "run_packing",
-    "span",
-]
+# each name is imported from its subpackage on first use (repro._lazy),
+# so ``import repro`` loads no subpackage
+__all__ = lazy_exports(
+    __name__,
+    {
+        "algorithms": (
+            "ALGORITHM_REGISTRY",
+            "AnyFitAlgorithm",
+            "BestFit",
+            "ClassifiedNextFit",
+            "FirstFit",
+            "HybridFirstFit",
+            "LastFit",
+            "NextFit",
+            "PackingAlgorithm",
+            "RandomFit",
+            "WorstFit",
+            "make_algorithm",
+        ),
+        "core": (
+            "Bin",
+            "Interval",
+            "Item",
+            "ItemList",
+            "PackingResult",
+            "PackingState",
+            "event_sequence",
+            "run_packing",
+            "span",
+        ),
+        "opt": (
+            "BinCountBracket",
+            "OptTotalBracket",
+            "competitive_ratio_bracket",
+            "exact_bin_count",
+            "fractional_ceiling_bound",
+            "opt_total",
+            "prop1_time_space_bound",
+            "prop2_span_bound",
+        ),
+    },
+) + ["__version__"]

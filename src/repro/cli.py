@@ -32,35 +32,35 @@ import sys
 from typing import Iterator, Optional, Sequence
 
 from . import __version__
-from .algorithms import ALGORITHM_REGISTRY, CLAIRVOYANT_REGISTRY, make_algorithm
-from .core.packing import run_packing
-from .opt.opt_total import opt_total
 
 __all__ = ["main", "build_parser"]
 
-# Beyond the engine core that ``repro/__init__`` loads anyway, each
-# command imports the layers it runs inside its own function, so
-# ``repro serve`` never loads numpy, the experiments or the analysis
-# code, and a batch ``repro pack`` never loads the service.
+# Each command imports the layers it runs inside its own function, so
+# ``repro fleet`` loads no engine, ``repro serve`` never loads numpy,
+# the experiments or the analysis code, and a batch ``repro pack``
+# never loads the service.
 
 
 class _ChoicesFrom:
-    """Argparse ``choices`` read from a module attribute on first use.
+    """Argparse ``choices`` read from module attributes on first use.
 
     ``repro run`` still rejects an unknown experiment id at parse time,
     but the registry (every experiment spec) is imported only when a
-    value is checked or an error lists the choices.  Arguments using it
-    set a ``metavar`` and keep ``%(choices)s`` out of their help,
-    because argparse would list the choices to format either.
+    value is checked or an error lists the choices; likewise the policy
+    registries behind ``--algorithm``.  The choices are the attributes'
+    values in order.  Arguments using it set a ``metavar`` and keep
+    ``%(choices)s`` out of their help, because argparse would list the
+    choices to format either.
     """
 
-    def __init__(self, module: str, name: str):
+    def __init__(self, module: str, *names: str):
         self._module = module
-        self._name = name
+        self._names = names
 
     def _values(self) -> Sequence[str]:
         __import__(self._module)
-        return getattr(sys.modules[self._module], self._name)
+        module = sys.modules[self._module]
+        return [value for name in self._names for value in getattr(module, name)]
 
     def __contains__(self, value) -> bool:
         return value in self._values()
@@ -71,6 +71,10 @@ class _ChoicesFrom:
 
 _EXPERIMENT_IDS = _ChoicesFrom("repro.experiments", "EXPERIMENT_ORDER")
 _PROFILES = _ChoicesFrom("repro.experiments.spec", "PROFILES")
+_ONLINE_POLICIES = _ChoicesFrom("repro.algorithms", "ALGORITHM_REGISTRY")
+_ALL_POLICIES = _ChoicesFrom(
+    "repro.algorithms", "ALGORITHM_REGISTRY", "CLAIRVOYANT_REGISTRY"
+)
 
 
 def _positive_int(text: str) -> int:
@@ -158,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pack = sub.add_parser("pack", help="pack a trace with a policy")
     p_pack.add_argument("trace", help="trace file from 'generate'")
     p_pack.add_argument(
-        "--algorithm",
-        default="first-fit",
-        choices=sorted(ALGORITHM_REGISTRY) + sorted(CLAIRVOYANT_REGISTRY),
+        "--algorithm", metavar="POLICY", default="first-fit",
+        choices=_ALL_POLICIES,
+        help="online or clairvoyant policy (see 'repro list-algorithms')",
     )
     p_pack.add_argument("--opt", action="store_true", help="also bracket OPT_total")
     p_pack.add_argument("--render", action="store_true", help="ASCII bin timeline")
@@ -204,7 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     server_flags = argparse.ArgumentParser(add_help=False)
     server_flags.add_argument("--host", default="127.0.0.1")
     server_flags.add_argument(
-        "--algorithm", default="first-fit", choices=sorted(ALGORITHM_REGISTRY)
+        "--algorithm", metavar="POLICY", default="first-fit",
+        choices=_ONLINE_POLICIES,
+        help="online policy (see 'repro list-algorithms')",
     )
     server_flags.add_argument("--capacity", type=float, default=1.0)
     server_flags.add_argument(
@@ -400,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_recover.add_argument("wal_dir", help="the service's --wal-dir")
     p_recover.add_argument(
-        "--algorithm", default="first-fit", choices=sorted(ALGORITHM_REGISTRY),
-        help="policy for a cold replay when no checkpoint exists",
+        "--algorithm", metavar="POLICY", default="first-fit",
+        choices=_ONLINE_POLICIES,
+        help="online policy for a cold replay when no checkpoint exists",
     )
     p_recover.add_argument("--capacity", type=float, default=1.0)
     p_recover.add_argument(
@@ -593,12 +600,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_any(name: str):
+    from .algorithms import ALGORITHM_REGISTRY, CLAIRVOYANT_REGISTRY, make_algorithm
+
     if name in ALGORITHM_REGISTRY:
         return make_algorithm(name)
     return CLAIRVOYANT_REGISTRY[name]()
 
 
 def cmd_list_algorithms() -> int:
+    from .algorithms import ALGORITHM_REGISTRY, CLAIRVOYANT_REGISTRY
     from .analysis.bounds import KNOWN_BOUNDS
 
     bound_by_name = {b.algorithm: b for b in KNOWN_BOUNDS}
@@ -708,12 +718,15 @@ def cmd_generate(kind: str, out: str, n: int, seed: int, mu: float, rate: float)
 
 
 def cmd_pack(trace: str, algorithm: str, want_opt: bool, render: bool) -> int:
+    from .core.packing import run_packing
     from .workloads import load_trace
 
     items = load_trace(trace)
     result = run_packing(items, _make_any(algorithm), capacity=items.capacity)
     print(result.summary())
     if want_opt:
+        from .opt.opt_total import opt_total
+
         opt = opt_total(items)
         kind = "exact" if opt.exact else "bracket"
         print(f"OPT_total in [{opt.lower:.4f}, {opt.upper:.4f}] ({kind})")
@@ -727,7 +740,9 @@ def cmd_pack(trace: str, algorithm: str, want_opt: bool, render: bool) -> int:
 
 
 def cmd_verify(trace: str) -> int:
+    from .algorithms import make_algorithm
     from .analysis.verification import verify_analysis
+    from .core.packing import run_packing
     from .workloads import load_trace
 
     items = load_trace(trace)
@@ -995,6 +1010,7 @@ def cmd_wal(args) -> int:
 def cmd_recover(args) -> int:
     import json
 
+    from .algorithms import make_algorithm
     from .service import MetricsRegistry, StreamingEngine, recover
 
     try:

@@ -5,35 +5,26 @@ observers, and adaptive first-fit indexing as the scalar engine (see
 ``docs/ARCHITECTURE.md``).
 """
 
-from .algorithms import (
-    VECTOR_REGISTRY,
-    VectorAlgorithm,
-    VectorBestFit,
-    VectorFirstFit,
-    VectorNextFit,
-    VectorWorstFit,
-    make_vector_algorithm,
-)
-from .bins import VectorBin
-from .items import VectorItem, VectorItemList
-from .packing import VectorPackingResult, run_vector_packing
-from .state import VectorPackingState
-from .workloads import correlated_vector_workload, vector_workload
+from .._lazy import lazy_exports
 
-__all__ = [
-    "VECTOR_REGISTRY",
-    "VectorAlgorithm",
-    "VectorBestFit",
-    "VectorBin",
-    "VectorFirstFit",
-    "VectorItem",
-    "VectorItemList",
-    "VectorNextFit",
-    "VectorPackingResult",
-    "VectorPackingState",
-    "VectorWorstFit",
-    "correlated_vector_workload",
-    "make_vector_algorithm",
-    "run_vector_packing",
-    "vector_workload",
-]
+# each name is imported from its submodule on first use (repro._lazy), so
+# the service's ``VectorItem`` does not load the vector algorithms
+__all__ = lazy_exports(
+    __name__,
+    {
+        "algorithms": (
+            "VECTOR_REGISTRY",
+            "VectorAlgorithm",
+            "VectorBestFit",
+            "VectorFirstFit",
+            "VectorNextFit",
+            "VectorWorstFit",
+            "make_vector_algorithm",
+        ),
+        "bins": ("VectorBin",),
+        "items": ("VectorItem", "VectorItemList"),
+        "packing": ("VectorPackingResult", "run_vector_packing"),
+        "state": ("VectorPackingState",),
+        "workloads": ("correlated_vector_workload", "vector_workload"),
+    },
+)

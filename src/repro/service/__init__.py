@@ -45,6 +45,7 @@ __all__ = lazy_exports(
         "engine": ("Placement", "StreamResult", "StreamingEngine"),
         "faults": ("FaultInjected", "FaultInjector", "FaultPlan", "KillPoint"),
         "fleet": ("FleetSupervisor",),
+        "frontdoor": ("ProtocolError",),
         "loadgen": (
             "LoadgenReport", "RetryPolicy", "loadgen", "run_loadgen", "tenantize"
         ),
@@ -67,7 +68,7 @@ __all__ = lazy_exports(
         "router": (
             "BackendLink", "HashRing", "ShardRouter", "partition_items", "route_key"
         ),
-        "server": ("AllocationService", "ProtocolError", "build_engine", "serve"),
+        "server": ("AllocationService", "build_engine", "serve"),
         "shard": ("ShardContext", "ShardSpec", "shard_manifest"),
         "snapshot": (
             "config_fingerprint",

@@ -7,10 +7,12 @@ supervisor spawns N ``repro serve`` worker processes (each a
 ``<wal-root>/shard-XX`` directory), fronts them with a
 :class:`~repro.service.router.ShardRouter`, and babysits the processes:
 
-- **Boot.**  Every worker starts at once and the supervisor waits for
-  their ports together, so a fleet is up in the time of one worker
-  boot, not N.  A worker that fails to boot stops the fleet: every
-  worker already started is terminated before the error propagates.
+- **Boot.**  Every worker starts at once, before the supervisor loads
+  the router, and the supervisor waits for their ports together, so a
+  fleet is up in the time of one worker boot, not N, and the router's
+  import overlaps the workers' own.  A worker that fails to boot stops
+  the fleet: every worker already started is terminated before the
+  error propagates.
 - **Crash restart.**  A worker that dies mid-stream is respawned on the
   same WAL directory — ``repro serve --wal-dir`` *is* ``repro recover``
   followed by listening, so the restarted worker comes back with the
@@ -47,9 +49,10 @@ import signal
 import subprocess
 import sys
 import time
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .router import ShardRouter
+if TYPE_CHECKING:  # imported by run(), once the workers are started
+    from .router import ShardRouter
 
 __all__ = ["FleetSupervisor"]
 
@@ -209,8 +212,15 @@ class FleetSupervisor:
         than the sum.  On failure the caller stops the workers already
         started (:meth:`run` does, in its ``finally``).
         """
+        self._start_all()
+        return self._backends()
+
+    def _start_all(self) -> None:
         for index in range(self.num_shards):
             self._start(index, first_boot=True)
+
+    def _backends(self) -> list[tuple[str, int]]:
+        """Wait for every worker's port; the router's backend list."""
         self._await_ports(range(self.num_shards))
         if not self.quiet:
             for index in range(self.num_shards):
@@ -392,9 +402,11 @@ class FleetSupervisor:
         loop = asyncio.get_running_loop()
         loop.add_signal_handler(signal.SIGTERM, self._terminate)
         try:
-            backends = await asyncio.get_event_loop().run_in_executor(
-                None, self.spawn_all
-            )
+            self._start_all()
+            # the router stack loads while the workers boot
+            from .router import ShardRouter
+
+            backends = await loop.run_in_executor(None, self._backends)
             self.router = ShardRouter(
                 backends,
                 tenants=self._tenants,

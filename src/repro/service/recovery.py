@@ -293,14 +293,17 @@ class DurableEngine:
         the WAL fsync policy is consulted once per batch (the group
         commit), and the auto-checkpoint check runs after the batch
         instead of between its ops.  A request id repeated *within* one
-        batch is refused as a duplicate job id rather than served from
-        the window — retries of unacknowledged ops always arrive in a
-        later batch.
+        batch is logged and applied once, at its first copy; every
+        later copy gets the first copy's outcome, a placement answered
+        as ``cached`` (what the per-op path answers from the window) or
+        the same refusal.
         """
         outcomes: list = [None] * len(requests)
         fresh: list[int] = []
         bodies: list = []
         calls: list = []
+        first_copy: dict[str, int] = {}  # request id -> its index in ``fresh``
+        repeats: list[tuple[int, int]] = []
         for i, (item, rid) in enumerate(requests):
             if rid is not None:
                 cached = self.dedup.get(rid)
@@ -308,6 +311,10 @@ class DurableEngine:
                     self._count("repro_service_duplicate_requests_total")
                     outcomes[i] = ("cached", cached)
                     continue
+                if rid in first_copy:
+                    repeats.append((i, first_copy[rid]))
+                    continue
+                first_copy[rid] = len(fresh)
             fresh.append(i)
             bodies.append(self._submit_body(item, rid, True))
             calls.append((item, rid, True))
@@ -323,6 +330,13 @@ class DurableEngine:
         for i, result in zip(fresh, results):
             refused = isinstance(result, Exception)
             outcomes[i] = ("refused" if refused else "placed", result)
+        for i, j in repeats:
+            kind, value = outcomes[fresh[j]]
+            if kind == "placed":
+                self._count("repro_service_duplicate_requests_total")
+                outcomes[i] = ("cached", value.to_dict())
+            else:
+                outcomes[i] = (kind, value)
         return outcomes
 
     def depart(self, item_id: int, now: Optional[float] = None) -> None:
@@ -575,86 +589,22 @@ def _replay_record(engine: StreamingEngine, rec: WalRecord, scalar: bool):
     raise ValueError(f"unknown WAL op {op!r} at seq {rec.seq}")
 
 
-def recover(
-    directory: str,
-    *,
-    engine_builder: Optional[Callable[[], StreamingEngine]] = None,
-    admission=None,
-    metrics: Optional[MetricsRegistry] = None,
-    decision_log=None,
-    fsync: str = "interval",
-    fsync_every: int = 512,
-    segment_bytes: Optional[int] = None,
-    checkpoint_every: int = 1000,
-    checkpoint_bytes: Optional[int] = None,
-    injector: Optional[FaultInjector] = None,
-    manifest: Optional[dict] = None,
-) -> tuple[DurableEngine, RecoveryReport]:
-    """Rebuild a live durable engine from ``directory``.
+def _restore_newest(
+    directory: str, report: RecoveryReport, admission, metrics, decision_log
+) -> tuple[Optional[StreamingEngine], Optional[DedupWindow]]:
+    """Restore the newest loadable checkpoint; ``(None, None)`` if none is.
 
-    The standard restart path — ``repro serve --wal-dir`` calls this on
-    boot, ``repro recover`` calls it for offline inspection.  Sequence:
-    open the WAL (which decodes every record and truncates a torn tail),
-    load the newest loadable checkpoint, replay every record past its
-    ``wal_seq`` through the real engine code paths, rebuild the
-    idempotency window, continue the log past the checkpoint
-    (:meth:`~repro.service.wal.WriteAheadLog.resume_after`), and hand
-    back a :class:`DurableEngine` ready to serve.
+    Records what it restored, skipped and fell back past on ``report``.
+    Its parsed document is garbage once this returns, before
+    :func:`recover` reads the log.
 
-    The checkpoint's policy comes from the scalar or vector registry,
-    by snapshot kind.  ``engine_builder()`` supplies the *fresh* engine
-    when no checkpoint exists (a cold start or a crash before the first
-    one); without it an empty directory is an error.
-
-    ``manifest`` binds the directory to a shard identity: on a fresh
-    directory it is written as the MANIFEST file; on an existing one it
-    must match the recorded MANIFEST field for field, or recovery
-    refuses with :class:`ValueError` **before** touching the log —
-    silently replaying another shard's WAL into the wrong engine is the
-    one mistake this layer must never make.  ``None`` (the default)
-    keeps the pre-fleet behaviour: no manifest is written or checked.
+    The generations are walked newest-first, attempting a FULL restore
+    of each: a checkpoint that parses as JSON but is structurally
+    corrupt (missing fields, mangled engine section) must not kill
+    recovery while an older intact generation — kept exactly for this
+    case by ``_retire_checkpoints`` — can serve, with the gap replayed
+    from the WAL.
     """
-    from .wal import DEFAULT_SEGMENT_BYTES, read_manifest, write_manifest
-
-    if manifest is not None:
-        recorded = read_manifest(directory)
-        if recorded is None:
-            write_manifest(directory, manifest)
-        elif recorded != manifest:
-            diffs = sorted(
-                key
-                for key in set(recorded) | set(manifest)
-                if recorded.get(key) != manifest.get(key)
-            )
-            detail = ", ".join(
-                f"{key}: recorded {recorded.get(key)!r} != given {manifest.get(key)!r}"
-                for key in diffs
-            )
-            raise ValueError(
-                f"WAL directory {directory} belongs to a different shard/config "
-                f"({detail}) — refusing to replay it; pick the matching "
-                f"--shard-id/--num-shards/engine flags or a fresh --wal-dir"
-            )
-
-    report = RecoveryReport(directory=directory)
-    wal = WriteAheadLog(
-        directory,
-        fsync=fsync,
-        fsync_every=fsync_every,
-        segment_bytes=segment_bytes or DEFAULT_SEGMENT_BYTES,
-        io_hook=injector,
-    )
-    report.torn_bytes = wal.recovered_torn_bytes
-
-    if metrics is not None:
-        declare_durable_metrics(metrics)
-
-    # walk the checkpoint generations newest-first, attempting a FULL
-    # restore of each: a checkpoint that parses as JSON but is
-    # structurally corrupt (missing fields, mangled engine section)
-    # must not kill recovery while an older intact generation — kept
-    # exactly for this case by ``_retire_checkpoints`` — can serve,
-    # with the gap replayed from the WAL below
     engine = None
     dedup: Optional[DedupWindow] = None
     skipped: list[str] = []
@@ -699,6 +649,79 @@ def recover(
         report.checkpoint_seq = checkpoint_seq
         break
     report.skipped_checkpoints = skipped
+    return engine, dedup
+
+
+def recover(
+    directory: str,
+    *,
+    engine_builder: Optional[Callable[[], StreamingEngine]] = None,
+    admission=None,
+    metrics: Optional[MetricsRegistry] = None,
+    decision_log=None,
+    fsync: str = "interval",
+    fsync_every: int = 512,
+    segment_bytes: Optional[int] = None,
+    checkpoint_every: int = 1000,
+    checkpoint_bytes: Optional[int] = None,
+    injector: Optional[FaultInjector] = None,
+    manifest: Optional[dict] = None,
+) -> tuple[DurableEngine, RecoveryReport]:
+    """Rebuild a live durable engine from ``directory``.
+
+    The standard restart path — ``repro serve --wal-dir`` calls this on
+    boot, ``repro recover`` calls it for offline inspection.  Sequence:
+    restore the newest loadable checkpoint, open the WAL (which decodes
+    every record once, keeps only those past the checkpoint's
+    ``wal_seq`` and truncates a torn tail, so recovery holds the tail it
+    replays and never the whole segment), replay those records through
+    the real engine code paths, rebuild the idempotency window,
+    continue the log past the checkpoint
+    (:meth:`~repro.service.wal.WriteAheadLog.resume_after`), and hand
+    back a :class:`DurableEngine` ready to serve.
+
+    The checkpoint's policy comes from the scalar or vector registry,
+    by snapshot kind.  ``engine_builder()`` supplies the *fresh* engine
+    when no checkpoint exists (a cold start or a crash before the first
+    one); without it an empty directory is an error.
+
+    ``manifest`` binds the directory to a shard identity: on a fresh
+    directory it is written as the MANIFEST file; on an existing one it
+    must match the recorded MANIFEST field for field, or recovery
+    refuses with :class:`ValueError` **before** touching the log —
+    silently replaying another shard's WAL into the wrong engine is the
+    one mistake this layer must never make.  ``None`` (the default)
+    keeps the pre-fleet behaviour: no manifest is written or checked.
+    """
+    from .wal import DEFAULT_SEGMENT_BYTES, read_manifest, write_manifest
+
+    if manifest is not None:
+        recorded = read_manifest(directory)
+        if recorded is None:
+            write_manifest(directory, manifest)
+        elif recorded != manifest:
+            diffs = sorted(
+                key
+                for key in set(recorded) | set(manifest)
+                if recorded.get(key) != manifest.get(key)
+            )
+            detail = ", ".join(
+                f"{key}: recorded {recorded.get(key)!r} != given {manifest.get(key)!r}"
+                for key in diffs
+            )
+            raise ValueError(
+                f"WAL directory {directory} belongs to a different shard/config "
+                f"({detail}) — refusing to replay it; pick the matching "
+                f"--shard-id/--num-shards/engine flags or a fresh --wal-dir"
+            )
+
+    report = RecoveryReport(directory=directory)
+    if metrics is not None:
+        declare_durable_metrics(metrics)
+
+    engine, dedup = _restore_newest(
+        directory, report, admission, metrics, decision_log
+    )
 
     if engine is None:
         if engine_builder is None:
@@ -709,18 +732,19 @@ def recover(
         engine = engine_builder()
         dedup = DedupWindow()
 
+    # opening the log decodes every record once and keeps only those
+    # past the restored checkpoint; it refuses a log ending below it
+    wal = WriteAheadLog(
+        directory,
+        fsync=fsync,
+        fsync_every=fsync_every,
+        segment_bytes=segment_bytes or DEFAULT_SEGMENT_BYTES,
+        io_hook=injector,
+        _after_seq=report.checkpoint_seq,
+    )
+    report.torn_bytes = wal.recovered_torn_bytes
     scalar = isinstance(engine.state, PackingState)
-    # the records the log decoded when it was opened: each record is
-    # decoded once per recovery
-    found = wal.take_records()
-    if found and found[-1].seq < report.checkpoint_seq:
-        raise WalCorruptionError(
-            f"WAL ends at seq {found[-1].seq} but the newest loadable "
-            f"checkpoint covers through seq {report.checkpoint_seq} — what "
-            f"was logged after it is missing or numbered as covered by it; "
-            f"refusing to recover with acknowledged operations missing"
-        )
-    records = [rec for rec in found if rec.seq > report.checkpoint_seq]
+    records = wal.take_records()
     first = records[0].seq if records else wal.last_seq + 1
     if first > report.checkpoint_seq + 1:
         raise WalCorruptionError(

@@ -25,7 +25,7 @@ fans each operation out to the worker that owns its key:
   socket hop, pinned ≤15% by the ``router-loopback`` bench cells.
 
 :class:`ShardRouter` subclasses the service's
-:class:`~repro.service.server.FrontDoor`, so everything up to a parsed
+:class:`~repro.service.frontdoor.FrontDoor`, so everything up to a parsed
 request is the single-process service's own code: the JSON-lines and
 frame loops, request parsing, the binary sub-request decoder, ``hello``,
 deadline budgets, the binary response encoder and the error taxonomy.
@@ -93,7 +93,7 @@ from typing import Awaitable, Callable, Optional, Sequence
 from . import protocol as wire
 from .faults import FaultInjector, LinkFaults
 from .metrics import merge_expositions, relabel_exposition
-from .server import DEFAULT_MAX_LINE_BYTES, FrontDoor, ProtocolError
+from .frontdoor import DEFAULT_MAX_LINE_BYTES, FrontDoor, ProtocolError
 
 __all__ = [
     "BackendLink",
@@ -591,7 +591,7 @@ class BackendLink:
 class ShardRouter(FrontDoor):
     """The consistent-hash front-end over N backend workers.
 
-    A :class:`~repro.service.server.FrontDoor`: the read loops, request
+    A :class:`~repro.service.frontdoor.FrontDoor`: the read loops, request
     parsing, ``hello``, deadline budgets, the binary response encoder
     and the error taxonomy are the single-process service's own, so
     both client protocols are answered exactly as a worker would
@@ -691,9 +691,12 @@ class ShardRouter(FrontDoor):
         return bound
 
     async def wait_closed(self) -> None:
-        await super().wait_closed()
+        await self._shutdown.wait()
+        # links first: a forward still waiting on a worker fails at once,
+        # so its handler answers and returns before the front door waits
         for link in self.links:
             await link.close()
+        await super().wait_closed()
 
     async def serve_until_shutdown(
         self, host: str = "127.0.0.1", port: int = 0

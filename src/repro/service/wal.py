@@ -220,20 +220,46 @@ def checkpoint_files(directory: str) -> list[str]:
     return _listing(directory, CHECKPOINT_PREFIX, CHECKPOINT_SUFFIX)
 
 
-def _decode_segment(data: bytes) -> tuple[list[WalRecord], Optional[str], int]:
-    """Decode a segment's bytes up to its first undecodable chunk.
+class _Segment:
+    """What one pass over a segment file found (see :func:`_read_segment`)."""
 
-    Returns ``(records, defect, torn)``: the records before that chunk;
-    ``None`` when there is none, else a description of it; and the
-    bytes from the chunk to the end of the data, or 0 when an intact
-    record follows it (the defect is then not a suffix).
+    __slots__ = ("records", "count", "first_seq", "last_seq", "gaps", "defect",
+                 "torn", "size")
+
+    def __init__(self) -> None:
+        #: the records kept: those past the scan's ``keep_after``
+        self.records: list[WalRecord] = []
+        #: records decoded before the first defect, and their first and
+        #: last sequence numbers
+        self.count = 0
+        self.first_seq: Optional[int] = None
+        self.last_seq: Optional[int] = None
+        #: ``(previous seq, seq)`` of every break in the numbering
+        self.gaps: list[tuple[int, int]] = []
+        #: ``None``, or a description of the first undecodable chunk
+        self.defect: Optional[str] = None
+        #: bytes from that chunk to the end of the file, or 0 when an
+        #: intact record follows it (the defect is then not a suffix)
+        self.torn = 0
+        #: bytes read
+        self.size = 0
+
+
+def _read_segment(f, keep_after: Optional[int]) -> _Segment:
+    """Decode an open segment file line by line, up to its first defect.
+
+    Every record is decoded (CRC and JSON checked) once, and kept only
+    when its sequence number is past ``keep_after`` (``None`` keeps
+    none), so what stays resident follows the records asked for, not
+    the segment.  Reading stops at the first intact record after an
+    undecodable chunk: the defect is then mid-log corruption, not a
+    torn tail.
     """
-    records: list[WalRecord] = []
+    out = _Segment()
     bad: Optional[tuple[int, Exception]] = None
+    prev: Optional[int] = None
     offset = 0
-    while offset < len(data):
-        end = data.find(b"\n", offset)
-        chunk = data[offset:] if end < 0 else data[offset : end + 1]
+    for chunk in f:  # one record per line; the last may lack its newline
         try:
             rec = _decode(chunk)
         except (ValueError, UnicodeDecodeError) as exc:
@@ -241,59 +267,84 @@ def _decode_segment(data: bytes) -> tuple[list[WalRecord], Optional[str], int]:
                 bad = (offset, exc)
         else:
             if bad is not None:
-                return records, (
+                out.defect = (
                     f"at byte {bad[0]}: {bad[1]} — intact records follow, so "
                     f"this is mid-log corruption, not a torn tail"
-                ), 0
-            records.append(rec)
+                )
+                break
+            seq = rec.seq
+            if prev is None:
+                out.first_seq = seq
+            elif seq != prev + 1:
+                out.gaps.append((prev, seq))
+            prev = seq
+            out.count += 1
+            if keep_after is not None and seq > keep_after:
+                out.records.append(rec)
         offset += len(chunk)
-    if bad is None:
-        return records, None, 0
-    return records, f"at byte {bad[0]}: {bad[1]}", len(data) - bad[0]
+    else:
+        if bad is not None:
+            out.defect = f"at byte {bad[0]}: {bad[1]}"
+            out.torn = offset - bad[0]
+    out.last_seq = prev
+    out.size = offset
+    return out
 
 
 def _scan(
-    directory: str, problem: Callable[[str], None]
-) -> list[tuple[str, list[WalRecord], int]]:
+    directory: str, problem: Callable[[str], None],
+    keep_after: Optional[int] = None,
+) -> list[tuple[str, _Segment]]:
     """The one reader of a log directory, under the module's rule set.
 
-    Returns ``(path, records, torn_bytes)`` per segment, in order:
-    the records decoded before the segment's first defect, and the
-    size of the last segment's torn tail.  Each broken rule is passed
-    to ``problem`` as one line of text; :func:`replay_wal` raises on
-    the first, :func:`verify_wal_dir` collects them all.
+    Returns ``(path, segment)`` per segment file, in order: what
+    :func:`_read_segment` found in it, keeping the records past
+    ``keep_after``, with the torn tail counted on the last segment
+    only.  Each broken rule is passed to ``problem`` as one line of
+    text; :func:`replay_wal` raises on the first, :func:`verify_wal_dir`
+    collects them all.  With ``keep_after`` given, a log whose last
+    record falls below it breaks one more rule: it has lost what was
+    logged after the checkpoint that covers ``keep_after``, or
+    numbered it as covered.
     """
     out = []
     segments = wal_segments(directory)
     expect: Optional[int] = None  # the seq the next record must carry
+    last: Optional[int] = None  # the last record's seq so far
     for path in segments:
         name = os.path.basename(path)
         with open(path, "rb") as f:
-            records, defect, torn = _decode_segment(f.read())
-        if defect is not None and (path != segments[-1] or not torn):
-            problem(f"{name} {defect}")
-            torn = 0
+            found = _read_segment(f, keep_after)
+        if found.defect is not None and (path != segments[-1] or not found.torn):
+            problem(f"{name} {found.defect}")
+            found.torn = 0
         first = _segment_seq(path)
         if expect is not None and first != expect:
             problem(f"sequence gap: {name} follows record {expect - 1}")
-        if records and records[0].seq != first:
+        if found.count and found.first_seq != first:
             problem(
-                f"{name} starts at seq {records[0].seq}, its name promises "
+                f"{name} starts at seq {found.first_seq}, its name promises "
                 f"{first}"
                 + (
-                    f" — records {first}..{records[0].seq - 1} are gone; "
+                    f" — records {first}..{found.first_seq - 1} are gone; "
                     f"acknowledged operations missing"
-                    if records[0].seq > first
+                    if found.first_seq > first
                     else ""
                 )
             )
-        for prev, rec in zip(records, records[1:]):
-            if rec.seq != prev.seq + 1:
-                problem(
-                    f"sequence gap: record {rec.seq} follows {prev.seq} in {name}"
-                )
-        expect = records[-1].seq + 1 if records else first
-        out.append((path, records, torn))
+        for prev, seq in found.gaps:
+            problem(f"sequence gap: record {seq} follows {prev} in {name}")
+        if found.count:
+            last = found.last_seq
+        expect = last + 1 if found.count else first
+        out.append((path, found))
+    if keep_after is not None and last is not None and last < keep_after:
+        problem(
+            f"WAL ends at seq {last} but the newest loadable checkpoint "
+            f"covers through seq {keep_after} — what was logged after it "
+            f"is missing or numbered as covered by it; refusing to recover "
+            f"with acknowledged operations missing"
+        )
     return out
 
 
@@ -320,11 +371,10 @@ def read_segment(path: str) -> tuple[list[WalRecord], int]:
     size of the file, every byte of which decoded.
     """
     with open(path, "rb") as f:
-        data = f.read()
-    records, defect, _ = _decode_segment(data)
-    if defect is not None:
-        _refuse(f"{os.path.basename(path)} {defect}")
-    return records, len(data)
+        found = _read_segment(f, 0)
+    if found.defect is not None:
+        _refuse(f"{os.path.basename(path)} {found.defect}")
+    return found.records, found.size
 
 
 def replay_wal(
@@ -335,15 +385,16 @@ def replay_wal(
     Returns ``(records, torn_bytes)``.  Only the *last* segment may end
     in a torn tail (``torn_bytes`` counts the discarded bytes); any
     other defect the module's rule set names raises
-    :class:`WalCorruptionError`.  Opening a :class:`WriteAheadLog` runs
-    this once over the whole log, and recovery replays what it found
-    (:meth:`WriteAheadLog.take_records`) rather than reading it again.
+    :class:`WalCorruptionError`, and so does a log whose last record
+    falls below ``after_seq``.  Every record is decoded once and only
+    those past ``after_seq`` are kept.  Opening a
+    :class:`WriteAheadLog` runs this once over the whole log, and
+    recovery replays what it kept (:meth:`WriteAheadLog.take_records`)
+    rather than reading it again.
     """
-    segments = _scan(directory, _refuse)
-    records = [
-        rec for _, found, _ in segments for rec in found if rec.seq > after_seq
-    ]
-    return records, segments[-1][2] if segments else 0
+    segments = _scan(directory, _refuse, after_seq)
+    records = [rec for _, found in segments for rec in found.records]
+    return records, segments[-1][1].torn if segments else 0
 
 
 def verify_wal_dir(directory: str) -> dict:
@@ -397,23 +448,23 @@ def verify_wal_dir(directory: str) -> dict:
 
     # -- segments: the scanner's rules, and what recovery would replay -------
     segments = _scan(directory, problem)
-    for path, records, torn in segments:
+    for path, found in segments:
         report["segments"].append({
             "file": os.path.basename(path),
-            "records": len(records),
-            "first_seq": records[0].seq if records else None,
-            "last_seq": records[-1].seq if records else None,
-            "torn_bytes": torn,
+            "records": found.count,
+            "first_seq": found.first_seq,
+            "last_seq": found.last_seq,
+            "torn_bytes": found.torn,
         })
-    found = [rec for _, records, _ in segments for rec in records]
-    if found:
-        report.update(
-            records=len(found), first_seq=found[0].seq, last_seq=found[-1].seq
-        )
+        if found.count:
+            report["records"] += found.count
+            if report["first_seq"] is None:
+                report["first_seq"] = found.first_seq
+            report["last_seq"] = found.last_seq
     if segments:
-        report["torn_tail_bytes"] = segments[-1][2]
+        report["torn_tail_bytes"] = segments[-1][1].torn
     report["resume_seq"] = _resume_seq(
-        [path for path, _, _ in segments], report["last_seq"]
+        [path for path, _ in segments], report["last_seq"]
     )
 
     # -- checkpoints: loadable, covered by the log, behind its resume point --
@@ -491,6 +542,7 @@ class WriteAheadLog:
         fsync_every: int = 512,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         io_hook: Optional[Callable[[str, int], Optional[str]]] = None,
+        _after_seq: int = 0,
     ):
         if fsync not in FSYNC_MODES:
             raise ValueError(
@@ -525,21 +577,21 @@ class WriteAheadLog:
         self._fsync_due = threading.Event()
         self._stopping = False
         self._flusher: Optional[threading.Thread] = None
-        self._open_tail()
+        self._open_tail(_after_seq)
 
     # -- opening / rotation ---------------------------------------------------
-    def _open_tail(self) -> None:
+    def _open_tail(self, after_seq: int) -> None:
         """Resume the existing log: truncate a torn tail, continue appending.
 
         Every record on disk is decoded here, by :func:`replay_wal` and
-        with all of its checks, and kept until recovery takes it
-        (:meth:`take_records`), so a recovery decodes each record once.
+        with all of its checks, and those past ``after_seq`` (the wal_seq
+        of the checkpoint recovery restored; ``_after_seq`` in the
+        constructor) are kept until recovery takes them
+        (:meth:`take_records`), so a recovery decodes each record once
+        and holds only the tail it replays.
         """
         segments = wal_segments(self.directory)
-        self._found, torn = replay_wal(self.directory)
-        self.last_seq = _resume_seq(
-            segments, self._found[-1].seq if self._found else None
-        ) - 1
+        self._found, torn = replay_wal(self.directory, after_seq)
         if not segments:
             self._start_segment(1)
             return
@@ -551,6 +603,18 @@ class WriteAheadLog:
         # page cache — no userspace buffer to flush or lose
         self._file = open(segments[-1], "ab", buffering=0)
         self._segment_size = os.path.getsize(segments[-1])
+        if self._found:
+            last = self._found[-1].seq
+        elif self._segment_size:
+            # records on disk, none kept: the scan refuses a log ending
+            # below after_seq, so the live segment ends exactly there
+            last = after_seq
+        else:
+            # no record in the live segment: by the gap rule any older
+            # segment ends one below its name, which the resume rule
+            # reads instead
+            last = None
+        self.last_seq = _resume_seq(segments, last) - 1
 
     def take_records(self) -> list[WalRecord]:
         """The records found on disk at open.

@@ -15,48 +15,37 @@ See ``docs/TRACES.md`` for schemas, fetching the real datasets, and a
 replay cookbook.
 """
 
-from .adapter import (
-    AdapterStats,
-    SCHEMA_REGISTRY,
-    TraceAdapter,
-    detect_schema,
-    get_adapter,
-    load_items,
-    register_adapter,
-)
-from .azure import AzureAdapter
-from .generate import GENERATORS, generate_azure_trace, generate_google_trace, generate_trace
-from .google import GoogleAdapter
-from .normalize import (
-    NormalizeStats,
-    keep_fraction,
-    normalize_items,
-    normalize_stream,
-    sample_trace_file,
-)
-from .reader import TraceFormatError, open_trace, sniff_lines, trace_suffix
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdapterStats",
-    "AzureAdapter",
-    "GENERATORS",
-    "GoogleAdapter",
-    "NormalizeStats",
-    "SCHEMA_REGISTRY",
-    "TraceAdapter",
-    "TraceFormatError",
-    "detect_schema",
-    "generate_azure_trace",
-    "generate_google_trace",
-    "generate_trace",
-    "get_adapter",
-    "keep_fraction",
-    "load_items",
-    "normalize_items",
-    "normalize_stream",
-    "open_trace",
-    "register_adapter",
-    "sample_trace_file",
-    "sniff_lines",
-    "trace_suffix",
-]
+# each name is imported from its submodule on first use (repro._lazy), so
+# reading a trace file through the reader loads no adapter or generator
+__all__ = lazy_exports(
+    __name__,
+    {
+        "adapter": (
+            "AdapterStats",
+            "SCHEMA_REGISTRY",
+            "TraceAdapter",
+            "detect_schema",
+            "get_adapter",
+            "load_items",
+            "register_adapter",
+        ),
+        "azure": ("AzureAdapter",),
+        "generate": (
+            "GENERATORS",
+            "generate_azure_trace",
+            "generate_google_trace",
+            "generate_trace",
+        ),
+        "google": ("GoogleAdapter",),
+        "normalize": (
+            "NormalizeStats",
+            "keep_fraction",
+            "normalize_items",
+            "normalize_stream",
+            "sample_trace_file",
+        ),
+        "reader": ("TraceFormatError", "open_trace", "sniff_lines", "trace_suffix"),
+    },
+)

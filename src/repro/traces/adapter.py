@@ -162,3 +162,9 @@ def load_items(
         dims = adapter.vector_dimensions
         return VectorItemList(items, capacity=(1.0,) * dims), stats
     return ItemList(items), stats
+
+
+# The built-in adapters register themselves when imported; importing them
+# here, after every name they take from this module exists, fills the
+# registry for any caller of this module however the package was loaded.
+from . import azure, google  # noqa: E402,F401

@@ -255,6 +255,38 @@ def test_boot_fails_once_no_worker_binds_within_the_deadline(tmp_path):
         fleet.stop_workers()
 
 
+_ROUTER_LOADS_AFTER_THE_WORKERS_START = """
+import asyncio, sys
+
+from repro.service import FleetSupervisor
+
+
+class Probe(FleetSupervisor):
+    def _start(self, index, *, first_boot):
+        self.seen.append("repro.service.router" in sys.modules)
+        super()._start(index, first_boot=first_boot)
+        self._terminate()  # as SIGTERM would: stop once the router is up
+
+
+fleet = Probe(2, sys.argv[1], serve_args=["--fsync", "never"])
+fleet.seen = []
+assert asyncio.run(fleet.run()) == 0
+assert fleet.seen == [False, False], fleet.seen
+assert "repro.service.router" in sys.modules
+"""
+
+
+def test_workers_start_before_the_router_loads(tmp_path):
+    """In a fresh interpreter, every worker is started before the
+    supervisor imports the router, so its import overlaps their boot."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _ROUTER_LOADS_AFTER_THE_WORKERS_START,
+         str(tmp_path / "fleet")],
+        env=_env_with_src(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 @pytest.mark.chaos
 def test_fleet_restarts_killed_worker_without_client_errors(tmp_path):
     """A worker murdered mid-stream (fault-plan kill at a WAL-applied

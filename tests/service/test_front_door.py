@@ -329,3 +329,132 @@ def test_durable_replays_are_flagged_on_every_path(tmp_path):
     assert records == 2, "a replay logs nothing"
     duplicates = engine.engine.metrics.as_dict()["repro_service_duplicate_requests_total"]
     assert duplicates == 5
+
+
+def test_a_request_id_repeated_in_one_batch_gets_one_answer_everywhere(tmp_path):
+    """One BATCH frame carrying the same request id more than once: the
+    later copies get the first copy's outcome (a placement flagged
+    ``duplicate``, or the same refusal) from an in-memory and a durable
+    engine alike, and the durable one logs each id once."""
+    a = wire.encode_submit(Item(1, 0.4, 1.0, 4.0), request_id="r-1")
+    b = wire.encode_submit(Item(2, 0.3, 1.0, 4.0), request_id="r-2")
+    late = wire.encode_submit(Item(3, 0.2, 0.5, 4.0), request_id="r-3")  # before the clock
+    batches = [wire.encode_batch([a, a, b, a]), wire.encode_batch([late, late])]
+
+    def replies(engine):
+        async def script(call, upgrade, frame):
+            await upgrade()
+            return [await frame(batch) for batch in batches]
+
+        return asyncio.run(session(AllocationService(engine), script))
+
+    in_memory = replies(build_engine())
+    durable = DurableEngine(build_engine(), WriteAheadLog(str(tmp_path), fsync="never"))
+    logged = replies(durable)
+    records = durable.wal.last_seq
+    durable.close()
+    assert logged == in_memory
+    placed, again, other, third = in_memory[0]
+    assert "duplicate" not in placed and "duplicate" not in other
+    for copy in (again, third):
+        assert copy == {**placed, "duplicate": True}
+    refused, refused_again = in_memory[1]
+    assert refused["ok"] is False and refused["error_type"] == "rejected", refused
+    assert refused_again == refused
+    assert records == 3, "r-1, r-2 and r-3 logged once each"
+    duplicates = durable.engine.metrics.as_dict()["repro_service_duplicate_requests_total"]
+    assert duplicates == 2
+
+
+# -- connections at shutdown and a client that stops reading -------------------
+async def _front(shards: int, **kwargs):
+    """A direct server (``shards=0``) or a router over in-process workers:
+    ``(front, port, workers)``, no workers for the direct server."""
+    if shards == 0:
+        front = AllocationService(build_engine(), **kwargs)
+        return front, await front.start("127.0.0.1", 0), []
+    workers = [AllocationService(build_engine()) for _ in range(shards)]
+    ports = [await w.start("127.0.0.1", 0) for w in workers]
+    front = ShardRouter([("127.0.0.1", p) for p in ports], **kwargs)
+    await front.connect()
+    return front, await front.start("127.0.0.1", 0), workers
+
+
+@pytest.mark.parametrize("shards", [0, 2], ids=["server", "router"])
+def test_shutdown_closes_the_connections_still_open(shards):
+    """An idle client connected across ``shutdown`` sees end of stream,
+    and no handler is left for the event loop to cancel (which asyncio
+    reports through the loop's exception handler)."""
+    errors: list = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context)
+        )
+        front, port, workers = await _front(shards)
+        closed = asyncio.ensure_future(front.wait_closed())
+        idle_json = await asyncio.open_connection("127.0.0.1", port)
+        idle_binary = await asyncio.open_connection("127.0.0.1", port)
+        idle_binary[1].write(wire.hello_line())
+        assert json.loads(await idle_binary[0].readline())["protocol"] == "binary"
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(b'{"op": "shutdown"}\n')
+        assert json.loads(await reader.readline())["bye"] is True
+        await asyncio.wait_for(closed, 10)
+        for idle_reader, idle_writer in (idle_json, idle_binary):
+            assert await asyncio.wait_for(idle_reader.read(), 10) == b""
+            idle_writer.close()
+        writer.close()
+        for worker in workers:  # the router broadcast the shutdown
+            await asyncio.wait_for(worker.wait_closed(), 10)
+
+    asyncio.run(main())
+    assert errors == []
+
+
+@pytest.mark.parametrize("shards", [0, 2], ids=["server", "router"])
+def test_a_client_that_stops_reading_is_cut_off(shards):
+    """Replies pile up until the transport pauses; the write that then
+    cannot drain is bounded by ``request_timeout``, and the connection
+    is dropped at once (its unsent replies with it, so nothing waits on
+    a peer that does not read) and counted as a disconnect."""
+    timeout = 0.3
+    request = json.dumps({"op": "hello", "protocol": "x" * 50_000}).encode() + b"\n"
+
+    async def main():
+        front, port, workers = await _front(shards, request_timeout=timeout)
+        counted: list = []
+        count = front._count
+        front._count = lambda name: (counted.append(name), count(name))
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(request * 400)  # ~20 MB of replies, none of them read
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        while "repro_service_disconnects_total" not in counted:
+            assert loop.time() - started < 20, "the stalled client was never cut off"
+            await asyncio.sleep(0.02)
+        waited = loop.time() - started
+        while front._connections:  # the handler returns without the client
+            assert loop.time() - started < 20, "the cut connection stayed open"
+            await asyncio.sleep(0.02)
+        # the client reads what reached it, then end of stream or a reset
+        received = b""
+        try:
+            while chunk := await asyncio.wait_for(reader.read(1 << 16), 20):
+                received += chunk
+        except ConnectionResetError:
+            pass
+        assert received.count(b"\n") < 400
+        writer.close()
+        front._shutdown.set()
+        await asyncio.wait_for(front.wait_closed(), 10)
+        for worker in workers:
+            worker._shutdown.set()
+            await asyncio.wait_for(worker.wait_closed(), 10)
+        return waited, counted, (workers or [front])[0].engine.metrics.as_dict()
+
+    waited, counted, metrics = asyncio.run(main())
+    assert waited >= timeout
+    assert counted.count("repro_service_disconnects_total") == 1
+    if not shards:  # the router's own counters are inert
+        assert metrics["repro_service_disconnects_total"] == 1

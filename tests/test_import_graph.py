@@ -3,10 +3,12 @@
 A ``repro serve`` worker and the batch engine import only what they
 run: never numpy, the experiments, the analysis and visualisation code,
 the cloud, offline, adversary and deferral models, or the workload
-generators.  Each path runs in a fresh interpreter under ``python -X
-importtime`` and the test reads the module names it loaded from
-stderr — module names, never times.  The lazy package exports
-(:mod:`repro._lazy`) must keep every public name resolvable.
+generators.  The ``repro fleet`` process only routes, so it loads no
+engine at all, and ``import repro`` loads no subpackage.  Each path
+runs in a fresh interpreter under ``python -X importtime`` and the test
+reads the module names it loaded from stderr — module names, never
+times.  The lazy package exports (:mod:`repro._lazy`) must keep every
+public name resolvable.
 """
 
 from __future__ import annotations
@@ -51,6 +53,22 @@ FLEET_ONLY = (
     "repro.service.router",
     "repro.service.loadgen",
     "repro.service.fleet",
+)
+
+#: what a worker runs and the ``repro fleet`` process (supervisor and
+#: router) never loads
+ENGINE = (
+    "repro.service.server",
+    "repro.service.engine",
+    "repro.service.recovery",
+    "repro.service.wal",
+    "repro.service.snapshot",
+    "repro.service.shard",
+    "repro.service.admission",
+    "repro.core",
+    "repro.algorithms",
+    "repro.opt",
+    "repro.multidim",
 )
 
 
@@ -101,18 +119,23 @@ def _request(f, doc: dict) -> dict:
     return reply
 
 
-def test_serve_worker_loads_only_its_layers(tmp_path):
+def _serve_a_session(tmp_path, command: str, *flags: str) -> set[str]:
+    """Boot ``repro <command>`` under ``-X importtime``, serve one session
+    of every kind of op through its socket, shut it down, and return
+    the modules the process loaded (a fleet's workers run without the
+    flag, so only the fleet process itself is reported)."""
     port_file = tmp_path / "port"
     stderr_path = tmp_path / "stderr"
     with open(stderr_path, "w") as stderr:
         proc = subprocess.Popen(
             [
-                sys.executable, "-X", "importtime", "-m", "repro", "serve",
+                sys.executable, "-X", "importtime", "-m", "repro", command,
                 "--port", "0",
                 "--port-file", str(port_file),
                 "--wal-dir", str(tmp_path / "wal"),
                 "--checkpoint-interval", "4",
                 "--quiet",
+                *flags,
             ],
             env=_env(),
             stderr=stderr,
@@ -121,7 +144,7 @@ def test_serve_worker_loads_only_its_layers(tmp_path):
         deadline = time.monotonic() + 60
         while not (port_file.exists() and port_file.read_text().strip()):
             assert proc.poll() is None, stderr_path.read_text()[-2000:]
-            assert time.monotonic() < deadline, "repro serve never bound a port"
+            assert time.monotonic() < deadline, f"repro {command} never bound a port"
             time.sleep(0.02)
         port = int(port_file.read_text())
         with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
@@ -143,11 +166,37 @@ def test_serve_worker_loads_only_its_layers(tmp_path):
             proc.wait()
     stderr = stderr_path.read_text()
     assert proc.returncode == 0, stderr[-2000:]
-    imported = _imported(stderr)
+    return _imported(stderr)
+
+
+def test_serve_worker_loads_only_its_layers(tmp_path):
+    imported = _serve_a_session(tmp_path, "serve")
     assert "repro.service.server" in imported
     assert _loaded_from(imported, OFF_THE_ENGINE_PATH + FLEET_ONLY) == []
     # nothing from the workload package at all: serve reads no trace files
     assert _loaded_from(imported, ("repro.workloads",)) == []
+
+
+def test_fleet_process_loads_no_engine(tmp_path):
+    """The supervisor and router process routes frames; its workers run
+    the engine, it never loads any of it."""
+    imported = _serve_a_session(tmp_path, "fleet", "--shards", "2", "--fsync", "never")
+    assert {"repro.service.router", "repro.service.frontdoor"} <= imported
+    assert _loaded_from(imported, ENGINE) == []
+    assert _loaded_from(imported, OFF_THE_ENGINE_PATH) == []
+
+
+def test_import_repro_loads_no_subpackage():
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import repro"],
+        env=_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = {name for name in _imported(proc.stderr) if name.startswith("repro")}
+    assert loaded == {"repro", "repro._lazy"}
 
 
 def test_batch_trace_packing_loads_only_its_layers(tmp_path):
@@ -196,10 +245,15 @@ def test_batch_repack_of_external_trace_loads_only_its_layers(tmp_path):
     assert _loaded_from(imported, ("repro.service",)) == []
 
 
-@pytest.mark.parametrize("package", ["repro.service", "repro.workloads"])
+@pytest.mark.parametrize(
+    "package",
+    ["repro", "repro.multidim", "repro.service", "repro.traces", "repro.workloads"],
+)
 def test_every_lazy_export_resolves(package):
     """In a fresh interpreter, each ``__all__`` name resolves to the object
-    its submodule defines, and ``dir()`` lists it before first use."""
+    its submodule defines, and ``dir()`` lists it before first use.  A
+    name the package defines itself (``repro.__version__``) is there
+    from the start."""
     proc = subprocess.run(
         [
             sys.executable, "-c",
@@ -210,7 +264,10 @@ def test_every_lazy_export_resolves(package):
                 pkg = importlib.import_module(sys.argv[1])
                 assert set(pkg.__all__) <= set(dir(pkg))
                 for name in pkg.__all__:
-                    source = pkg._lazy_sources[name]
+                    source = pkg._lazy_sources.get(name)
+                    if source is None:
+                        assert name in vars(pkg), name
+                        continue
                     sub = importlib.import_module(f"{pkg.__name__}.{source}")
                     assert getattr(pkg, name) is getattr(sub, name), name
                 try:
