@@ -11,16 +11,19 @@ batch engine never loads numpy.
 The package's module object becomes a :class:`_LazyPackage`, whose
 ``__getattr__`` and ``__dir__`` behave as PEP 562's module-level hooks
 do; its ``__setattr__`` covers the one case those hooks cannot, an
-export named after its own submodule.
+export named after its own submodule.  :class:`LazyRegistry` does the
+same for a name-to-class registry: listing its names imports nothing,
+reading an entry imports that entry's module.
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping
 from types import ModuleType
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
-__all__ = ["lazy_exports"]
+__all__ = ["LazyRegistry", "lazy_exports"]
 
 
 class _LazyPackage(ModuleType):
@@ -82,3 +85,33 @@ def lazy_exports(package: str, exports: Mapping[str, Sequence[str]]) -> list[str
     module._lazy_sources = sources
     module.__class__ = _LazyPackage
     return list(sources)
+
+
+class LazyRegistry(Mapping):
+    """A read-only ``name -> object`` mapping that imports on first read.
+
+    ``entries`` maps each name, in order, to ``"submodule:attribute"``
+    relative to ``package``.  Iterating, ``len`` and ``in`` see the
+    names only; ``registry[name]`` imports the entry's submodule and
+    returns the attribute, so a process that reads one entry loads one
+    module.
+    """
+
+    def __init__(self, package: str, entries: Mapping[str, str]):
+        self._package = package
+        self._entries = dict(entries)
+
+    def __getitem__(self, name: str):
+        submodule, _, attribute = self._entries[name].partition(":")
+        module = f"{self._package}.{submodule}"
+        __import__(module)  # not importlib: see _LazyPackage.__getattr__
+        return getattr(sys.modules[module], attribute)
+
+    def __contains__(self, name) -> bool:
+        return name in self._entries
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)

@@ -22,75 +22,70 @@ departure) — a strictly easier information model kept apart so the
 competitive-ratio experiments never mix the two by accident.
 """
 
-from typing import Callable
+from __future__ import annotations
 
-from .base import AnyFitAlgorithm, PackingAlgorithm
-from .best_fit import BestFit
-from .clairvoyant import (
-    ClairvoyantAlgorithm,
-    DepartureAlignedFit,
-    DurationClassifiedFirstFit,
-    DurationClassifiedFit,
-)
-from .classified import ClassifiedAlgorithm, ClassifiedNextFit, HybridFirstFit
-from .first_fit import FirstFit
-from .last_fit import LastFit
-from .migration import BudgetedRepack, plan_evacuation_moves
-from .next_fit import NextFit
-from .predictions import LogNormalPredictor, PredictedDepartureFit
-from .random_fit import RandomFit
-from .two_choice import TwoChoiceFit
-from .worst_fit import WorstFit
+from typing import TYPE_CHECKING, Callable, Mapping
 
-__all__ = [
-    "AnyFitAlgorithm",
-    "BestFit",
-    "ClairvoyantAlgorithm",
-    "DepartureAlignedFit",
-    "DurationClassifiedFirstFit",
-    "DurationClassifiedFit",
-    "BudgetedRepack",
-    "ClassifiedAlgorithm",
-    "ClassifiedNextFit",
-    "FirstFit",
-    "HybridFirstFit",
-    "LastFit",
-    "LogNormalPredictor",
-    "NextFit",
-    "PredictedDepartureFit",
-    "PackingAlgorithm",
-    "RandomFit",
-    "plan_evacuation_moves",
-    "TwoChoiceFit",
-    "WorstFit",
-    "ALGORITHM_REGISTRY",
-    "CLAIRVOYANT_REGISTRY",
-    "make_algorithm",
-]
+from .._lazy import LazyRegistry, lazy_exports
+
+if TYPE_CHECKING:
+    from .base import PackingAlgorithm
+
+# each name is imported from its submodule on first use (repro._lazy),
+# and each registry entry when it is read, so a First Fit worker loads
+# base and first_fit and no other policy
+__all__ = lazy_exports(
+    __name__,
+    {
+        "base": ("AnyFitAlgorithm", "PackingAlgorithm"),
+        "best_fit": ("BestFit",),
+        "clairvoyant": (
+            "ClairvoyantAlgorithm",
+            "DepartureAlignedFit",
+            "DurationClassifiedFirstFit",
+            "DurationClassifiedFit",
+        ),
+        "classified": ("ClassifiedAlgorithm", "ClassifiedNextFit", "HybridFirstFit"),
+        "first_fit": ("FirstFit",),
+        "last_fit": ("LastFit",),
+        "migration": ("BudgetedRepack", "plan_evacuation_moves"),
+        "next_fit": ("NextFit",),
+        "predictions": ("LogNormalPredictor", "PredictedDepartureFit"),
+        "random_fit": ("RandomFit",),
+        "two_choice": ("TwoChoiceFit",),
+        "worst_fit": ("WorstFit",),
+    },
+) + ["ALGORITHM_REGISTRY", "CLAIRVOYANT_REGISTRY", "make_algorithm"]
 
 #: Factory registry: name -> zero-argument constructor with defaults.
-ALGORITHM_REGISTRY: dict[str, Callable[[], PackingAlgorithm]] = {
-    "first-fit": FirstFit,
-    "best-fit": BestFit,
-    "worst-fit": WorstFit,
-    "last-fit": LastFit,
-    "random-fit": RandomFit,
-    "two-choice-fit": TwoChoiceFit,
-    "next-fit": NextFit,
-    "hybrid-first-fit": HybridFirstFit,
-    "classified-next-fit": ClassifiedNextFit,
-    "repack-ff": BudgetedRepack,
-}
+ALGORITHM_REGISTRY: Mapping[str, Callable[[], PackingAlgorithm]] = LazyRegistry(
+    __name__,
+    {
+        "first-fit": "first_fit:FirstFit",
+        "best-fit": "best_fit:BestFit",
+        "worst-fit": "worst_fit:WorstFit",
+        "last-fit": "last_fit:LastFit",
+        "random-fit": "random_fit:RandomFit",
+        "two-choice-fit": "two_choice:TwoChoiceFit",
+        "next-fit": "next_fit:NextFit",
+        "hybrid-first-fit": "classified:HybridFirstFit",
+        "classified-next-fit": "classified:ClassifiedNextFit",
+        "repack-ff": "migration:BudgetedRepack",
+    },
+)
 
 #: Clairvoyant (known-departure) policies — a strictly easier information
 #: model, kept in a separate registry so competitive-ratio experiments
 #: never mix the two by accident.
-CLAIRVOYANT_REGISTRY: dict[str, Callable[[], PackingAlgorithm]] = {
-    "departure-aligned-fit": DepartureAlignedFit,
-    "duration-classified-fit": DurationClassifiedFit,
-    "duration-classified-ff": DurationClassifiedFirstFit,
-    "predicted-departure-fit": PredictedDepartureFit,
-}
+CLAIRVOYANT_REGISTRY: Mapping[str, Callable[[], PackingAlgorithm]] = LazyRegistry(
+    __name__,
+    {
+        "departure-aligned-fit": "clairvoyant:DepartureAlignedFit",
+        "duration-classified-fit": "clairvoyant:DurationClassifiedFit",
+        "duration-classified-ff": "clairvoyant:DurationClassifiedFirstFit",
+        "predicted-departure-fit": "predictions:PredictedDepartureFit",
+    },
+)
 
 
 def make_algorithm(name: str) -> PackingAlgorithm:

@@ -14,6 +14,7 @@ Lifecycle::
     ... driver places the item ...
     algo.on_placed(state, bin, size)  # bookkeeping hook (e.g. Next Fit)
     algo.on_departed(state, bin)      # called after each departure
+    algo.on_restored(state)           # after a checkpoint restored it
 
 Implementations must be deterministic given their constructor arguments
 (randomised policies take an explicit seed).
@@ -52,6 +53,12 @@ class PackingAlgorithm(abc.ABC):
 
     def on_departed(self, state: PackingState, source: Bin) -> None:
         """Hook after a departure was processed (``source`` may be closed)."""
+
+    def on_restored(self, state: PackingState) -> None:
+        """Hook after a checkpoint restore set this policy's attributes.
+
+        ``state`` is the restored packing state.  Default: nothing to do.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

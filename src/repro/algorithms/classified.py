@@ -91,6 +91,24 @@ class ClassifiedAlgorithm(PackingAlgorithm):
     def on_placed(self, state: PackingState, target: Bin, size: float) -> None:
         # A freshly opened bin inherits the class of the item that opened it.
         self._bin_class.setdefault(target.index, self.class_of(size))
+        if len(self._bin_class) > state.num_open:
+            # the defragmenter emptied a bin: it closed with no departure
+            self._forget_closed(state)
+
+    def on_departed(self, state: PackingState, source: Bin) -> None:
+        # a closed bin takes no more items: the map holds open bins only
+        if source.is_closed:
+            self._bin_class.pop(source.index, None)
+
+    def on_restored(self, state: PackingState) -> None:
+        # checkpoints written before departures pruned hold closed bins
+        self._forget_closed(state)
+
+    def _forget_closed(self, state: PackingState) -> None:
+        open_bins = {b.index for b in state.open_bins()}
+        self._bin_class = {
+            index: cls for index, cls in self._bin_class.items() if index in open_bins
+        }
 
 
 class HybridFirstFit(ClassifiedAlgorithm):

@@ -781,7 +781,57 @@ def _maybe_uvloop(enabled: bool) -> bool:
     return True
 
 
+def _builtin_digests() -> bool:
+    """Whether hashlib can build all of its digests without OpenSSL.
+
+    The modules are hashlib's own fallbacks (3.12 merged ``_sha256``
+    and ``_sha512`` into ``_sha2``); an OpenSSL-only or FIPS build
+    lacks them.
+    """
+
+    def have(name: str) -> bool:
+        try:
+            __import__(name)
+        except ImportError:
+            return False
+        return True
+
+    return (have("_sha2") or (have("_sha256") and have("_sha512"))) and all(
+        have(name) for name in ("_md5", "_sha1", "_blake2", "_sha3")
+    )
+
+
+def _import_without_openssl(*modules: str) -> None:
+    """Import ``modules`` (asyncio, hashlib) with OpenSSL's bindings hidden.
+
+    The service speaks plain TCP and takes one digest, the MANIFEST's
+    sha256 fingerprint, yet asyncio tries ``import ssl`` and hashlib
+    ``import _hashlib``, and either maps libssl/libcrypto into the
+    process for good (~4.7 MB of VmHWM).  A ``None`` entry in
+    ``sys.modules`` makes an import fail, so asyncio keeps its
+    ``ssl = None`` plain-TCP fallback and hashlib its builtin digests,
+    which give the same bytes.  Only the entries added here are
+    removed afterwards, so a later ``import ssl`` (uvloop's) still
+    works.  On an interpreter without builtin digests hashlib loads
+    OpenSSL as usual.
+    """
+    hidden = [name for name in ("ssl", "_ssl") if name not in sys.modules]
+    if "_hashlib" not in sys.modules and (
+        "hashlib" not in modules or _builtin_digests()
+    ):
+        hidden.append("_hashlib")
+    for name in hidden:
+        sys.modules[name] = None
+    try:
+        for name in modules:
+            __import__(name)
+    finally:
+        for name in hidden:
+            del sys.modules[name]
+
+
 def cmd_serve(args) -> int:
+    _import_without_openssl("asyncio", "hashlib")
     import asyncio
 
     from .service import (
@@ -876,6 +926,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_fleet(args) -> int:
+    # the router routes frames and takes no digest: no hashlib
+    _import_without_openssl("asyncio")
     import asyncio
 
     from .service import FleetSupervisor

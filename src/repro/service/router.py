@@ -393,29 +393,36 @@ class BackendLink:
         reader, writer = await asyncio.open_connection(
             self.host, self.port, limit=self.max_frame_bytes
         )
-        writer.write(wire.hello_line())
-        await writer.drain()
-        ack_line = await reader.readline()
         try:
-            ack = json.loads(ack_line)
-        except ValueError:
-            ack = None
-        if not (isinstance(ack, dict) and ack.get("ok")):
-            writer.close()
-            raise ConnectionError(
-                f"backend {self.label} refused the binary hello: {ack_line!r}"
-            )
-        try:
-            self.negotiated_version = int(ack.get("version", 1))
-        except (TypeError, ValueError):
-            self.negotiated_version = 1
-        self._reader, self._writer = reader, writer
-        # resend the unacknowledged window, oldest first — replies stay
-        # FIFO, and the worker's dedup window absorbs any duplicates
-        if self._pending:
-            for payload, _ in self._pending:
-                writer.write(wire.frame(payload))
+            writer.write(wire.hello_line())
             await writer.drain()
+            ack_line = await reader.readline()
+            try:
+                ack = json.loads(ack_line)
+            except ValueError:
+                ack = None
+            if not (isinstance(ack, dict) and ack.get("ok")):
+                raise ConnectionError(
+                    f"backend {self.label} refused the binary hello: {ack_line!r}"
+                )
+            try:
+                self.negotiated_version = int(ack.get("version", 1))
+            except (TypeError, ValueError):
+                self.negotiated_version = 1
+            self._reader, self._writer = reader, writer
+            # resend the unacknowledged window, oldest first — replies
+            # stay FIFO, and the worker's dedup window absorbs any
+            # duplicates
+            if self._pending:
+                for payload, _ in self._pending:
+                    writer.write(wire.frame(payload))
+                await writer.drain()
+        except BaseException:
+            # failed, or cancelled by close(): leave no connection open
+            writer.close()
+            if self._writer is writer:
+                self._writer = None
+            raise
 
     async def redirect(self, host: str, port: int) -> None:
         """Retarget the link (the worker moved) and reconnect if dead."""
@@ -556,7 +563,9 @@ class BackendLink:
                     self._idle.set()
 
     async def _reconnect(self) -> bool:
-        self._writer = None
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.close()  # the broken connection's socket
         deadline = monotonic() + self.reconnect_wait
         cap = 0.05
         while monotonic() < deadline:

@@ -392,6 +392,9 @@ def restore_engine(
 
     for key, value in doc["algorithm_state"].items():
         setattr(algorithm, key, _decode_value(value, bin_ref))
+    on_restored = getattr(algorithm, "on_restored", None)  # vector policies: none
+    if on_restored is not None:
+        on_restored(state)
 
     # 4. engine bookkeeping
     engine.clock = doc["clock"]

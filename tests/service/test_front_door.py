@@ -17,9 +17,11 @@ window is flagged ``duplicate`` on in-memory and durable engines alike.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import math
 import struct
+import warnings
 
 import pytest
 
@@ -410,6 +412,32 @@ def test_shutdown_closes_the_connections_still_open(shards):
 
     asyncio.run(main())
     assert errors == []
+
+
+def test_router_shutdown_leaves_no_backend_connection_open():
+    """``shutdown`` closes the workers first, so each backend link sees
+    its connection break, reconnects to a listener still open, and is
+    then cancelled mid-hello by the router's own close: the broken
+    connection and the half-made one are both closed, not dropped for
+    the garbage collector to warn about."""
+
+    async def main():
+        front, port, workers = await _front(2)
+        closed = asyncio.ensure_future(front.wait_closed())
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(b'{"op": "shutdown"}\n')
+        assert json.loads(await reader.readline())["bye"] is True
+        await asyncio.wait_for(closed, 10)
+        writer.close()
+        for worker in workers:
+            await asyncio.wait_for(worker.wait_closed(), 10)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        asyncio.run(main())
+        gc.collect()
+    unclosed = [str(w.message) for w in caught if "unclosed" in str(w.message)]
+    assert unclosed == []
 
 
 @pytest.mark.parametrize("shards", [0, 2], ids=["server", "router"])

@@ -9,6 +9,11 @@ runs in a fresh interpreter under ``python -X importtime`` and the test
 reads the module names it loaded from stderr — module names, never
 times.  The lazy package exports (:mod:`repro._lazy`) must keep every
 public name resolvable.
+
+No service process speaks TLS, so none maps OpenSSL: a ``repro serve``
+process and a fleet's router and workers load neither ``ssl`` nor
+``_hashlib``, and ``/proc/<pid>/maps`` lists neither libssl nor
+libcrypto while they serve.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import sys
 import textwrap
 import time
 from types import ModuleType
+from typing import NamedTuple
 
 import pytest
 
@@ -119,11 +125,35 @@ def _request(f, doc: dict) -> dict:
     return reply
 
 
-def _serve_a_session(tmp_path, command: str, *flags: str) -> set[str]:
+class Session(NamedTuple):
+    #: modules the booted process loaded (not its children's)
+    imported: set[str]
+    #: the OpenSSL libraries each process mapped while serving: the
+    #: booted process first, then its children (a fleet's workers)
+    openssl: list[list[str]]
+
+
+def _process_tree(pid: int) -> list[int]:
+    pids = [pid]
+    for parent in pids:  # grows as children are found
+        with open(f"/proc/{parent}/task/{parent}/children") as f:
+            pids += [int(child) for child in f.read().split()]
+    return pids
+
+
+def _openssl_mapped(pid: int) -> list[str]:
+    with open(f"/proc/{pid}/maps") as f:
+        return sorted(
+            {line.split()[-1] for line in f if "libssl" in line or "libcrypto" in line}
+        )
+
+
+def _serve_a_session(tmp_path, command: str, *flags: str) -> Session:
     """Boot ``repro <command>`` under ``-X importtime``, serve one session
-    of every kind of op through its socket, shut it down, and return
-    the modules the process loaded (a fleet's workers run without the
-    flag, so only the fleet process itself is reported)."""
+    of every kind of op through its socket, read which OpenSSL libraries
+    each of its processes maps, shut it down, and return both (a
+    fleet's workers run without the flag, so only the fleet process
+    itself reports its modules)."""
     port_file = tmp_path / "port"
     stderr_path = tmp_path / "stderr"
     with open(stderr_path, "w") as stderr:
@@ -158,6 +188,7 @@ def _serve_a_session(tmp_path, command: str, *flags: str) -> set[str]:
             assert _request(f, {"op": "drain"})["bins"] >= 1
             _request(f, {"op": "stats"})
             _request(f, {"op": "metrics"})
+            openssl = [_openssl_mapped(pid) for pid in _process_tree(proc.pid)]
             _request(f, {"op": "shutdown"})
         proc.wait(timeout=60)
     finally:
@@ -166,24 +197,59 @@ def _serve_a_session(tmp_path, command: str, *flags: str) -> set[str]:
             proc.wait()
     stderr = stderr_path.read_text()
     assert proc.returncode == 0, stderr[-2000:]
-    return _imported(stderr)
+    return Session(_imported(stderr), openssl)
 
 
-def test_serve_worker_loads_only_its_layers(tmp_path):
-    imported = _serve_a_session(tmp_path, "serve")
+@pytest.fixture(scope="module")
+def serve_session(tmp_path_factory) -> Session:
+    return _serve_a_session(tmp_path_factory.mktemp("serve"), "serve")
+
+
+@pytest.fixture(scope="module")
+def fleet_session(tmp_path_factory) -> Session:
+    return _serve_a_session(
+        tmp_path_factory.mktemp("fleet"), "fleet", "--shards", "2", "--fsync", "never"
+    )
+
+
+def test_serve_worker_loads_only_its_layers(serve_session):
+    imported = serve_session.imported
     assert "repro.service.server" in imported
     assert _loaded_from(imported, OFF_THE_ENGINE_PATH + FLEET_ONLY) == []
     # nothing from the workload package at all: serve reads no trace files
     assert _loaded_from(imported, ("repro.workloads",)) == []
+    # a First Fit worker loads its own policy and no other
+    assert _loaded_from(imported, ("repro.algorithms",)) == [
+        "repro.algorithms", "repro.algorithms.base", "repro.algorithms.first_fit"
+    ]
 
 
-def test_fleet_process_loads_no_engine(tmp_path):
+def test_fleet_process_loads_no_engine(fleet_session):
     """The supervisor and router process routes frames; its workers run
     the engine, it never loads any of it."""
-    imported = _serve_a_session(tmp_path, "fleet", "--shards", "2", "--fsync", "never")
+    imported = fleet_session.imported
     assert {"repro.service.router", "repro.service.frontdoor"} <= imported
     assert _loaded_from(imported, ENGINE) == []
     assert _loaded_from(imported, OFF_THE_ENGINE_PATH) == []
+
+
+# ``-X importtime`` prints ``ssl`` and ``_hashlib`` for an import that a
+# ``None`` in ``sys.modules`` refused, too; a real ``import ssl`` imports
+# ``_ssl``, and a loaded ``_hashlib`` maps libcrypto
+
+
+def test_serve_process_maps_no_openssl(serve_session):
+    """The MANIFEST fingerprint is taken with hashlib's builtin sha256."""
+    assert "_ssl" not in serve_session.imported
+    assert "hashlib" in serve_session.imported
+    assert serve_session.openssl == [[]]
+
+
+def test_fleet_processes_map_no_openssl(fleet_session):
+    """The router takes no digest at all; its two workers are ``repro
+    serve`` processes."""
+    assert _loaded_from(fleet_session.imported, ("_ssl", "hashlib", "_hashlib")) == []
+    assert fleet_session.openssl == [[], [], []]
 
 
 def test_import_repro_loads_no_subpackage():
@@ -245,9 +311,87 @@ def test_batch_repack_of_external_trace_loads_only_its_layers(tmp_path):
     assert _loaded_from(imported, ("repro.service",)) == []
 
 
+#: a shard directory written by an older version, with its MANIFEST
+V1_MANIFEST = os.path.join(
+    os.path.dirname(__file__), "data", "service_v1", "shard", "MANIFEST"
+)
+
+
+def _run_fresh(script: str) -> None:
+    """``script`` in a fresh interpreter: argv[1] is the v1 MANIFEST."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), V1_MANIFEST],
+        env=_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr == ""
+
+
+def test_openssl_stays_importable_after_the_service_imports():
+    """asyncio and hashlib are imported without OpenSSL, the MANIFEST
+    fingerprint comes out the same, and the hidden entries are gone
+    afterwards, so ``import ssl`` (uvloop's, under ``--uvloop``) loads
+    it as usual."""
+    _run_fresh(
+        """
+        import json, sys
+        from repro.cli import _import_without_openssl
+
+        before = {name for name, module in sys.modules.items() if module is None}
+        _import_without_openssl("asyncio", "hashlib")
+        import asyncio.base_events
+        from repro.service.snapshot import config_fingerprint
+
+        assert asyncio.base_events.ssl is None  # plain TCP
+        assert {n for n, m in sys.modules.items() if m is None} == before
+        with open(sys.argv[1]) as f:
+            manifest = json.load(f)
+        assert config_fingerprint(manifest["engine"]) == manifest["fingerprint"]
+        assert not {"ssl", "_ssl", "_hashlib"} & set(sys.modules)
+        import ssl
+
+        assert "_ssl" in sys.modules
+        """
+    )
+
+
+def test_an_interpreter_without_builtin_digests_imports_hashlib_with_openssl():
+    """On an OpenSSL-only build hashlib has no fallback, so the service
+    keeps OpenSSL for it rather than lose sha256."""
+    _run_fresh(
+        """
+        import json, sys
+
+        for name in ("_sha2", "_sha256"):  # as if the build had none
+            sys.modules[name] = None
+        from repro.cli import _import_without_openssl
+
+        _import_without_openssl("asyncio", "hashlib")
+        import asyncio.base_events
+        from repro.service.snapshot import config_fingerprint
+
+        assert asyncio.base_events.ssl is None
+        assert "_hashlib" in sys.modules
+        with open(sys.argv[1]) as f:
+            manifest = json.load(f)
+        assert config_fingerprint(manifest["engine"]) == manifest["fingerprint"]
+        """
+    )
+
+
 @pytest.mark.parametrize(
     "package",
-    ["repro", "repro.multidim", "repro.service", "repro.traces", "repro.workloads"],
+    [
+        "repro",
+        "repro.algorithms",
+        "repro.multidim",
+        "repro.service",
+        "repro.traces",
+        "repro.workloads",
+    ],
 )
 def test_every_lazy_export_resolves(package):
     """In a fresh interpreter, each ``__all__`` name resolves to the object
