@@ -2,87 +2,26 @@
 
 Not a paper artifact — engineering benchmarks for the library itself
 (events/second per algorithm, OPT_total cost as instances grow), so
-regressions in the hot paths are visible.
+regressions in the hot paths are visible.  They time only what
+``repro bench`` does not: every registry policy, and ``opt_total``.
+The vector, streaming and WAL cells live in ``repro bench``.
 """
 
 import pytest
 
 from repro.algorithms import ALGORITHM_REGISTRY, make_algorithm
 from repro.core.packing import run_packing
-from repro.multidim import make_vector_algorithm, run_vector_packing, vector_workload
 from repro.opt.opt_total import opt_total
 from repro.workloads.random_workloads import poisson_workload
 
 INSTANCE = poisson_workload(2000, seed=99, mu_target=8.0, arrival_rate=4.0)
 SMALL = poisson_workload(60, seed=7, mu_target=6.0, arrival_rate=2.0)
-VECTOR_INSTANCE = vector_workload(2000, seed=99, dimensions=2, arrival_rate=4.0)
-# enough simultaneously open bins (~hundreds) that the default path
-# activates the VectorFirstFitIndex mid-run
-VECTOR_HIGHLOAD = vector_workload(2000, seed=99, dimensions=2, arrival_rate=200.0)
 
 
 @pytest.mark.parametrize("name", sorted(ALGORITHM_REGISTRY))
 def test_packing_throughput(benchmark, name):
     """Pack 2000 jobs (4000 events) with each policy."""
     result = benchmark(lambda: run_packing(INSTANCE, make_algorithm(name)))
-    assert result.num_bins > 0
-
-
-@pytest.mark.parametrize("name", ["vector-first-fit", "vector-best-fit"])
-def test_vector_packing_throughput(benchmark, name):
-    """Pack 2000 two-dimensional jobs through the unified driver."""
-    result = benchmark(
-        lambda: run_vector_packing(VECTOR_INSTANCE, make_vector_algorithm(name))
-    )
-    assert result.num_bins > 0
-
-
-@pytest.mark.parametrize("name", ["vector-first-fit", "vector-best-fit"])
-def test_vector_packing_throughput_highload(benchmark, name):
-    """High-load vector packing: exercises the indexed first-fit path."""
-    result = benchmark(
-        lambda: run_vector_packing(VECTOR_HIGHLOAD, make_vector_algorithm(name))
-    )
-    assert result.num_bins > 0
-
-
-def test_streaming_replay_throughput(benchmark):
-    """Replay the 2000-job instance through the service's push path."""
-    from repro.service import StreamingEngine
-
-    ordered = sorted(INSTANCE, key=lambda it: it.arrival)
-
-    def run():
-        engine = StreamingEngine.scalar(make_algorithm("first-fit"))
-        for it in ordered:
-            engine.submit(it)
-        return engine.finish()
-
-    result = benchmark(run)
-    assert result.num_bins > 0
-
-
-@pytest.mark.parametrize("fsync", ["never", "interval"])
-def test_streaming_replay_with_wal_throughput(benchmark, fsync, tmp_path_factory):
-    """The same replay with the write-ahead log on the request path."""
-    from repro.service import DurableEngine, StreamingEngine, WriteAheadLog
-
-    ordered = sorted(INSTANCE, key=lambda it: it.arrival)
-
-    def run():
-        directory = str(tmp_path_factory.mktemp(f"wal-{fsync}"))
-        engine = DurableEngine(
-            StreamingEngine.scalar(make_algorithm("first-fit")),
-            WriteAheadLog(directory, fsync=fsync),
-            auto_checkpoint=False,
-        )
-        for it in ordered:
-            engine.submit(it)
-        result = engine.finish()
-        engine.close()
-        return result
-
-    result = benchmark(run)
     assert result.num_bins > 0
 
 

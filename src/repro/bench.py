@@ -15,19 +15,29 @@ regression baseline future PRs diff against: the *instances* are fully
 deterministic (seeded), so any structural slowdown shows up as a drop in
 ``events_per_sec`` on the same cell.
 
-Timing methodology: best-of-``repeats`` wall clock per cell (the minimum
-is the standard noise-robust estimator for short benchmarks), events/sec
-= ``2 * n_items / seconds``.
+Timing method: one loop, :func:`_laps`, times every cell but the
+one-shot Monte Carlo comparison.  It times a *group* of cells lap by
+lap: each lap starts with an untimed ``gc.collect()``, runs with the
+cyclic GC paused, and runs every cell of the group once, in a fixed
+order, on the wall clock (a loopback cell's lap is its load
+generator's own ``wall_seconds``).  Every lap is kept, and
+:func:`_row` writes each row: ``seconds`` is the median lap,
+``q1`` and ``q3`` its quartiles (the inclusive rule of
+``benchmarks/pairs.py``), ``n`` the number of laps, and
+``events_per_sec`` = events / median.  Cells that are read against
+each other share a group, so their laps run side by side and a drift
+in machine speed falls on all of them alike: the trace-vs-Poisson
+cells, one service instance's streaming cells (bare, metrics,
+migration, WAL), and the loopback and router cells.  Each throughput
+grid cell is a group of its own.
 
 ``repro bench --only PATTERN`` regenerates a subset: every cell has a
 composite key (``throughput/<instance>/<algorithm>/<path>``,
 ``service/<instance>/<mode>``, or ``montecarlo``) matched with fnmatch,
 and when ``--json`` points at an existing report the unmatched cells are
 carried over from it rather than dropped — so one noisy or newly added
-row can be re-measured without re-running the whole grid.  Cells whose
-rows are *comparisons* (the trace-vs-poisson laps, the WAL trio, the
-router scan) are interleaved inside one repeat loop and therefore
-regenerate as a group if any member matches.
+row can be re-measured without re-running the whole grid.  A group
+runs whole when any of its keys matches.
 """
 
 from __future__ import annotations
@@ -38,10 +48,12 @@ import gc
 import json
 import os
 import platform
+import shutil
+import statistics
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .algorithms import make_algorithm
 from .core.packing import run_packing
@@ -132,13 +144,15 @@ SERVICE_LOOPBACK_PIPELINE = 8
 #: smaller instance (events/sec stays comparable across cell sizes).
 SERVICE_WAL_ALWAYS_JOBS = 2_000
 
-#: Router-loopback cells: the same closed-loop load generator driven
-#: through a :class:`~repro.service.router.ShardRouter` fronting N
-#: in-process workers, on the binary pipelined fast path.  On this
-#: 1-CPU container every worker shares the core, so shard counts > 1
-#: measure the router's *coordination* overhead, not parallel speedup —
-#: the number to read is the 1-shard row against the same-run direct
-#: baseline (the router-as-transparent-proxy tax).
+#: Router-loopback cells: the pipelined load generator driven through
+#: a :class:`~repro.service.router.ShardRouter` fronting N in-process
+#: workers.  On a 1-CPU host every worker shares the core, so shard
+#: counts > 1 measure the router's *coordination* overhead, not parallel
+#: speedup — the number to read is the 1-shard row against the
+#: ``server-loopback-pipelined`` row timed in the same laps (the
+#: router-as-transparent-proxy tax).  The router keys jobs by
+#: ``id % SERVICE_ROUTER_TENANTS``; the client sends the same raw ids
+#: to a router as to a server.
 SERVICE_ROUTER_SHARDS: tuple[int, ...] = (1, 2, 4)
 SERVICE_ROUTER_QUICK_SHARDS: tuple[int, ...] = (1, 2)
 SERVICE_ROUTER_TENANTS = 16
@@ -197,11 +211,8 @@ class BenchReport:
 class _Selector:
     """Decides which bench cells run, by fnmatch over composite keys.
 
-    ``None`` (the default) selects everything.  Interleaved cell groups
-    call :meth:`any` with every key the group would emit and run
-    all-or-nothing — their rows are ratios, and regenerating one side of
-    a ratio against a stale other side would measure machine drift, not
-    the code.
+    ``None`` (the default) selects everything.  A cell group calls
+    :meth:`any` with every key it would emit and runs all-or-nothing.
     """
 
     def __init__(self, pattern: Optional[str]):
@@ -228,57 +239,103 @@ def _merge_rows(old_rows, new_rows, key_fields) -> list:
     return merged
 
 
-def _best_of(repeats: int, fn) -> float:
-    """Best-of-``repeats`` wall clock with the cyclic GC paused.
+def _laps(repeats: int, cells: dict[str, Callable[[], Any]]) -> dict[str, list[float]]:
+    """``repeats`` laps of a group of cells: every lap time of every cell.
 
-    Without this, generation-2 collections triggered by allocations in
-    *earlier* grid cells fire mid-measurement in later ones (each scan
-    walks the whole live instance), so a cell's number depends on its
-    position in the grid — measured ~35% distortion on the 100k-job
-    cell.  Pausing the collector (what ``timeit`` does) makes cells
-    order-independent; packing garbage is acyclic, so refcounting frees
-    it as usual.
+    Each lap runs every cell once, in the dict's order, so cells that
+    are read against each other are timed side by side and a drift in
+    machine speed falls on all of them alike.  A cell that returns a
+    float has timed itself and that float is its lap (the loopback
+    cells return their load generator's ``wall_seconds``); any other
+    return value is dropped and the lap is the wall clock around the
+    call.
+
+    Each lap starts with an untimed ``gc.collect()`` and runs with the
+    cyclic GC paused (what ``timeit`` does).  Otherwise generation-2
+    collections triggered by allocations in *earlier* cells fire inside
+    later ones (each scan walks the whole live instance), so a cell's
+    number depends on its position in the run — measured ~35%
+    distortion on the 100k-job cell.  Packing garbage is acyclic, so
+    refcounting frees it as usual.
     """
-    best = float("inf")
-    gc.collect()
+    laps: dict[str, list[float]] = {key: [] for key in cells}
     enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
+            gc.collect()
+            for key, cell in cells.items():
+                t0 = time.perf_counter()
+                own = cell()
+                wall = time.perf_counter() - t0
+                laps[key].append(own if isinstance(own, float) else wall)
     finally:
         if enabled:
             gc.enable()
-    return best
+    return laps
 
 
-def _stream_replay(ordered, with_metrics: bool) -> None:
-    """One full replay through the streaming push path (submit + drain)."""
+def _row(fields: dict[str, Any], events: int, laps: list[float]) -> dict[str, Any]:
+    """One report row: ``fields``, then the laps' median [Q1, Q3] and n.
+
+    Quartiles interpolate between order statistics (the inclusive rule
+    of ``benchmarks/pairs.py``); ``events_per_sec`` is ``events`` over
+    the median lap.
+    """
+    if len(laps) == 1:
+        q1 = median = q3 = laps[0]
+    else:
+        q1, median, q3 = statistics.quantiles(laps, n=4, method="inclusive")
+    return {
+        **fields,
+        "seconds": round(median, 6),
+        "q1": round(q1, 6),
+        "q3": round(q3, 6),
+        "n": len(laps),
+        "events_per_sec": round(events / median),
+    }
+
+
+#: A bench cell: its row's identifying fields, the events one lap
+#: serves (the ``events_per_sec`` numerator), and the lap itself.
+_Cell = tuple[dict[str, Any], int, Callable[[], Any]]
+
+
+def _bench_group(
+    rows: list, section: str, sel: "_Selector", repeats: int, cells: list[_Cell]
+) -> None:
+    """Time ``cells`` as one group and append their rows to ``rows``.
+
+    All or nothing: the group runs when any cell's ``--only`` key
+    (``<section>/<instance>/<algorithm>/<path>`` or
+    ``<section>/<instance>/<mode>``) matches, since a row re-timed apart
+    from the rows it is read against would measure machine drift.
+    """
+    names = ("algorithm", "path") if section == "throughput" else ("mode",)
+    keys = [
+        "/".join([section, fields["instance"], *(fields[name] for name in names)])
+        for fields, _, _ in cells
+    ]
+    if not sel.any(keys):
+        return
+    laps = _laps(repeats, {key: fn for key, (_, _, fn) in zip(keys, cells)})
+    rows.extend(
+        _row(fields, events, laps[key])
+        for key, (fields, events, _) in zip(keys, cells)
+    )
+
+
+def _stream_replay(ordered, algorithm=None, with_metrics: bool = False) -> None:
+    """One full replay through the streaming push path (submit + drain).
+
+    ``algorithm`` defaults to First Fit.
+    """
     from .service import MetricsRegistry, StreamingEngine
 
     engine = StreamingEngine.scalar(
-        make_algorithm("first-fit"),
+        make_algorithm("first-fit") if algorithm is None else algorithm,
         metrics=MetricsRegistry() if with_metrics else None,
     )
-    for it in ordered:
-        engine.submit(it)
-    engine.finish()
-
-
-def _stream_migration_replay(ordered, budget: int) -> None:
-    """Streaming replay under migration churn: repack-ff with a budget.
-
-    Every applied event runs the evacuation planner and possibly a burst
-    of ``state.migrate`` calls (remove + reinsert through the adaptive
-    index lanes), so this cell prices the migration engine's hot path
-    against the plain ``stream`` row measured on the same instance.
-    """
-    from .algorithms.migration import BudgetedRepack
-    from .service import StreamingEngine
-
-    engine = StreamingEngine.scalar(BudgetedRepack(budget=budget))
     for it in ordered:
         engine.submit(it)
     engine.finish()
@@ -294,9 +351,6 @@ def _wal_stream_replay(ordered, fsync: str) -> None:
     Bare engine (no metrics registry), matching the ``stream`` cell, so
     the cell isolates what durability itself costs.
     """
-    import shutil
-    import tempfile
-
     from .service import DurableEngine, StreamingEngine, WriteAheadLog
 
     directory = tempfile.mkdtemp(prefix="repro-bench-wal-")
@@ -314,150 +368,36 @@ def _wal_stream_replay(ordered, fsync: str) -> None:
         shutil.rmtree(directory, ignore_errors=True)
 
 
-async def _loopback_replay(ordered, **loadgen_kwargs):
-    """Closed-loop load generation against an in-process asyncio server."""
-    from .service import AllocationService, build_engine, run_loadgen
+async def _loopback_replay(ordered, shards: int = 0, **loadgen_kwargs) -> float:
+    """Closed-loop load generation against in-process asyncio servers.
 
-    service = AllocationService(build_engine(), quiet=True)
-    port = await service.start("127.0.0.1", 0)
-    waiter = asyncio.ensure_future(service.wait_closed())
-    client = await run_loadgen(
-        ordered, port=port, shutdown=True, **loadgen_kwargs
-    )
-    await waiter
-    return client
-
-
-def _loopback_cell(ordered, repeats: int, **loadgen_kwargs):
-    """Best-of-``repeats`` loopback replay with the cyclic GC paused.
-
-    Same collector treatment as :func:`_best_of` (see its docstring):
-    the loopback cells exist to compare wire protocols against each
-    other, and a generation-2 scan landing inside one protocol's lap
-    but not the other's would distort exactly the ratio the rows are
-    read for.
+    ``shards=0`` drives one server directly; ``shards=N`` drives a
+    consistent-hash router fronting N servers.  The load generator's
+    ``shutdown`` takes every server down (through the router, which
+    broadcasts it).  Returns the load generator's own ``wall_seconds``,
+    which leaves out server start-up and shutdown.
     """
-    best = None
-    gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            client = asyncio.run(_loopback_replay(ordered, **loadgen_kwargs))
-            if best is None or client.wall_seconds < best.wall_seconds:
-                best = client
-    finally:
-        if enabled:
-            gc.enable()
-    return best
-
-
-async def _router_loopback_replay(ordered, shards, **loadgen_kwargs):
-    """Closed-loop load generation through the consistent-hash router."""
     from .service import AllocationService, ShardRouter, build_engine, run_loadgen
 
     services = [
-        AllocationService(build_engine(), quiet=True) for _ in range(shards)
+        AllocationService(build_engine(), quiet=True) for _ in range(max(shards, 1))
     ]
     ports = [await s.start("127.0.0.1", 0) for s in services]
-    router = ShardRouter(
-        [("127.0.0.1", p) for p in ports], tenants=SERVICE_ROUTER_TENANTS
-    )
-    await router.connect()
-    front = await router.start("127.0.0.1", 0)
     waiters = [asyncio.ensure_future(s.wait_closed()) for s in services]
-    # the shutdown broadcast takes the workers down through the router
-    client = await run_loadgen(
-        ordered, port=front, shutdown=True, tenants=SERVICE_ROUTER_TENANTS,
-        **loadgen_kwargs,
-    )
-    await router.wait_closed()
+    port = ports[0]
+    if shards:
+        router = ShardRouter(
+            [("127.0.0.1", p) for p in ports], tenants=SERVICE_ROUTER_TENANTS
+        )
+        await router.connect()
+        port = await router.start("127.0.0.1", 0)
+        waiters.append(asyncio.ensure_future(router.wait_closed()))
+    client = await run_loadgen(ordered, port=port, shutdown=True, **loadgen_kwargs)
     for waiter in waiters:
         await waiter
-    return client
-
-
-def _bench_router(
-    report: "BenchReport", ordered, quick: bool, repeats: int, sel: "_Selector"
-) -> None:
-    """Router-loopback cells, interleaved with their direct baseline.
-
-    The direct (router-less) lap runs inside the same repeat loop as the
-    router laps, so machine drift between distant measurements cannot
-    masquerade as router overhead — the ratio the rows exist to expose.
-    All cells run the binary pipelined fast path with the same tenant
-    keying, so the only variable is the router hop (and, above one
-    shard, its fan-out bookkeeping on this single CPU).
-    """
-    shard_counts = SERVICE_ROUTER_QUICK_SHARDS if quick else SERVICE_ROUTER_SHARDS
-    if not sel.any(
-        [f"service/n{len(ordered)}/router-loopback-direct"]
-        + [f"service/n{len(ordered)}/router-loopback-{s}shard" for s in shard_counts]
-    ):
-        return
-    kwargs = {
-        "protocol": "binary",
-        "batch": SERVICE_LOOPBACK_BATCH,
-        "pipeline": SERVICE_LOOPBACK_PIPELINE,
-        "tenants": SERVICE_ROUTER_TENANTS,
-    }
-    best: dict[Any, Any] = {"direct": None, **{s: None for s in shard_counts}}
-    gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            laps = {"direct": asyncio.run(_loopback_replay(ordered, **kwargs))}
-            for shards in shard_counts:
-                laps[shards] = asyncio.run(
-                    _router_loopback_replay(ordered, shards, **{
-                        k: v for k, v in kwargs.items() if k != "tenants"
-                    })
-                )
-            for key, client in laps.items():
-                if best[key] is None or client.wall_seconds < best[key].wall_seconds:
-                    best[key] = client
-    finally:
-        if enabled:
-            gc.enable()
-    rows = [("router-loopback-direct", best["direct"])] + [
-        (f"router-loopback-{s}shard", best[s]) for s in shard_counts
-    ]
-    for mode, client in rows:
-        report.service.append(
-            {
-                "instance": f"n{len(ordered)}",
-                "n_items": len(ordered),
-                "arrival_rate": 4.0,
-                "mode": mode,
-                "seconds": round(client.wall_seconds, 6),
-                "events_per_sec": round(client.requests_per_sec),
-            }
-        )
-
-
-def _interleaved_best(repeats: int, cells: dict[str, Any]) -> dict[str, float]:
-    """Best-of-``repeats`` per cell, all cells timed inside each lap.
-
-    Same rationale as :func:`_bench_router`: when two rows exist to be
-    *compared*, measuring them in distant loops lets machine drift
-    masquerade as a real difference.  Interleaving the laps (and pausing
-    the cyclic GC, as :func:`_best_of` does) makes the ratio honest.
-    """
-    best = {key: float("inf") for key in cells}
-    gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            for key, fn in cells.items():
-                t0 = time.perf_counter()
-                fn()
-                best[key] = min(best[key], time.perf_counter() - t0)
-    finally:
-        if enabled:
-            gc.enable()
-    return best
+    if client.errors:
+        raise RuntimeError(f"loopback lap lost {client.errors} requests")
+    return client.wall_seconds
 
 
 def _bench_traces(
@@ -471,12 +411,15 @@ def _bench_traces(
     own that).
     """
     n = TRACE_BENCH_QUICK_JOBS if quick else TRACE_BENCH_JOBS
-    if not sel.any(
-        f"throughput/trace-azure-n{n}/{algo}/{mode}{suffix}"
-        for algo, suffix in (("first-fit", ""), ("vector-first-fit", "-vector"))
-        for mode in ("trace-replay", "poisson-baseline")
-    ):
-        return
+    instance = f"trace-azure-n{n}"
+    modes = (
+        ("first-fit", "trace-replay"),
+        ("first-fit", "poisson-baseline"),
+        ("vector-first-fit", "trace-replay-vector"),
+        ("vector-first-fit", "poisson-baseline-vector"),
+    )
+    if not sel.any(f"throughput/{instance}/{algo}/{mode}" for algo, mode in modes):
+        return  # before the trace file is generated for nothing
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         path = os.path.join(tmp, f"azure-{n}.csv")
         generate_azure_trace(path, n, seed=WORKLOAD_SEED)
@@ -495,192 +438,120 @@ def _bench_traces(
     vff = lambda items: run_vector_packing(
         items, make_vector_algorithm("vector-first-fit")
     )
-    best = _interleaved_best(
-        repeats,
-        {
-            "trace-replay": lambda: ff(scalar),
-            "poisson-baseline": lambda: ff(base_scalar),
-            "trace-replay-vector": lambda: vff(vector),
-            "poisson-baseline-vector": lambda: vff(base_vector),
-        },
+    laps = (
+        lambda: ff(scalar),
+        lambda: ff(base_scalar),
+        lambda: vff(vector),
+        lambda: vff(base_vector),
     )
-    for algo, suffix in (("first-fit", ""), ("vector-first-fit", "-vector")):
-        for mode in (f"trace-replay{suffix}", f"poisson-baseline{suffix}"):
-            secs = best[mode]
-            report.throughput.append(
-                {
-                    "instance": f"trace-azure-n{n}",
-                    "n_items": len(scalar),
-                    "arrival_rate": 200.0,
-                    "algorithm": algo,
-                    "path": mode,
-                    "seconds": round(secs, 6),
-                    "events_per_sec": round(2 * len(scalar) / secs),
-                }
-            )
+    _bench_group(report.throughput, "throughput", sel, repeats, [
+        (
+            {
+                "instance": instance,
+                "n_items": len(scalar),
+                "arrival_rate": 200.0,
+                "algorithm": algo,
+                "path": mode,
+            },
+            2 * len(scalar),
+            lap,
+        )
+        for (algo, mode), lap in zip(modes, laps)
+    ])
 
 
 def _bench_service(
     report: "BenchReport", quick: bool, repeats: int, sel: "_Selector"
 ) -> None:
     grid = SERVICE_QUICK_GRID if quick else SERVICE_GRID
-    for label, n, rate in grid:
+    for index, (label, n, rate) in enumerate(grid):
         items = poisson_workload(
             n, seed=WORKLOAD_SEED, mu_target=WORKLOAD_MU, arrival_rate=rate
         )
         ordered = sorted(items, key=lambda it: it.arrival)
-        events = 2 * len(items)
-        for mode, with_metrics in (("stream", False), ("stream+metrics", True)):
-            if not sel(f"service/{label}/{mode}"):
-                continue
-            secs = _best_of(repeats, lambda: _stream_replay(ordered, with_metrics))
-            report.service.append(
-                {
-                    "instance": label,
-                    "n_items": n,
-                    "arrival_rate": rate,
-                    "mode": mode,
-                    "seconds": round(secs, 6),
-                    "events_per_sec": round(events / secs),
-                }
-            )
-    # Migration-churn cell: the first grid instance replayed through the
-    # streaming path under repack-ff with a nonzero move budget — prices
-    # the per-event planner plus the migrate (remove + reinsert) index
-    # lanes against the plain ``stream`` row on the same instance.  The
-    # low-load instance is deliberate: the planner is a linear scan of
-    # the open set per event, and this cell exists to watch *that*
-    # constant, not to stress hundreds of open bins.
-    mig_label, mig_n, mig_rate = grid[0]
-    if sel(f"service/{mig_label}/stream+migration"):
-        mig_items = poisson_workload(
-            mig_n, seed=WORKLOAD_SEED, mu_target=WORKLOAD_MU,
-            arrival_rate=mig_rate,
-        )
-        mig_ordered = sorted(mig_items, key=lambda it: it.arrival)
-        secs = _best_of(
-            repeats,
-            lambda: _stream_migration_replay(mig_ordered, STREAM_MIGRATION_BUDGET),
-        )
-        report.service.append(
-            {
-                "instance": mig_label,
-                "n_items": mig_n,
-                "arrival_rate": mig_rate,
-                "mode": "stream+migration",
-                "seconds": round(secs, 6),
-                "events_per_sec": round(2 * mig_n / secs),
-            }
-        )
-    # WAL-in-the-loop cells: the first grid instance replayed through the
-    # durable engine under each fsync policy ("always" on its own smaller
-    # instance — one flush per record dominates, events/sec stays
-    # comparable).  The bare-stream baseline is re-measured *interleaved*
-    # with these cells, lap by lap — machine drift between distant
-    # measurements otherwise dominates the durability-overhead ratio the
-    # rows imply — and the stream row keeps the best of both passes.
-    wal_label, wal_n, wal_rate = grid[0]
-    always_n = min(wal_n, SERVICE_WAL_ALWAYS_JOBS)
-    fsyncs = ("never", "interval", "always")
-    wal_keys = {
-        fsync: "service/{}/stream+wal({})".format(
-            wal_label if fsync != "always" or always_n == wal_n
-            else f"n{always_n}",
-            fsync,
-        )
-        for fsync in fsyncs
-    }
-    if sel.any(wal_keys.values()):
-        wal_items = poisson_workload(
-            wal_n, seed=WORKLOAD_SEED, mu_target=WORKLOAD_MU, arrival_rate=wal_rate
-        )
-        wal_ordered = sorted(wal_items, key=lambda it: it.arrival)
-        laps = {mode: float("inf") for mode in ("stream",) + fsyncs}
-        for _ in range(repeats):
-            laps["stream"] = min(
-                laps["stream"], _best_of(1, lambda: _stream_replay(wal_ordered, False))
-            )
-            for fsync in fsyncs:
-                cell = wal_ordered if fsync != "always" else wal_ordered[:always_n]
-                # the WAL cells sit on the disk, and I/O latency swings far
-                # more lap-to-lap than CPU time does (observed ~60% vs ~5%
-                # on the container) — double their laps so the best-of
-                # estimate actually reaches each cell's floor
-                laps[fsync] = min(
-                    laps[fsync],
-                    _best_of(2, lambda f=fsync, c=cell: _wal_stream_replay(c, f)),
-                )
-        stream_row = next(
+        fields = lambda mode: {
+            "instance": label, "n_items": n, "arrival_rate": rate, "mode": mode,
+        }
+        cells: list[_Cell] = [
+            (fields("stream"), 2 * n, lambda: _stream_replay(ordered)),
             (
-                r for r in report.service
-                if r["mode"] == "stream" and r["instance"] == wal_label
+                fields("stream+metrics"), 2 * n,
+                lambda: _stream_replay(ordered, with_metrics=True),
             ),
-            None,  # the stream cell may have been filtered out by --only
-        )
-        if stream_row is not None and laps["stream"] < stream_row["seconds"]:
-            stream_row["seconds"] = round(laps["stream"], 6)
-            stream_row["events_per_sec"] = round(2 * wal_n / laps["stream"])
-        for fsync in fsyncs:
-            cell_n = wal_n if fsync != "always" else always_n
-            secs = laps[fsync]
-            report.service.append(
-                {
-                    "instance": wal_label if cell_n == wal_n else f"n{cell_n}",
-                    "n_items": cell_n,
-                    "arrival_rate": wal_rate,
-                    "mode": f"stream+wal({fsync})",
-                    "seconds": round(secs, 6),
-                    "events_per_sec": round(2 * cell_n / secs),
-                }
-            )
+        ]
+        if index == 0:
+            # The first instance also carries the cells read against its
+            # plain ``stream`` row.  ``stream+migration`` replays it
+            # under repack-ff with a nonzero move budget: the per-event
+            # planner plus the migrate (remove + reinsert) index lanes.
+            # The low-load instance is deliberate: the planner is a
+            # linear scan of the open set per event, and this cell
+            # watches *that* constant, not hundreds of open bins.  The
+            # WAL cells replay it through the durable engine under each
+            # fsync policy; ``always`` pays one disk flush per record,
+            # so it replays a prefix (events/sec stays comparable).
+            from .algorithms.migration import BudgetedRepack
+
+            always_n = min(n, SERVICE_WAL_ALWAYS_JOBS)
+            cells += [
+                (
+                    fields("stream+migration"), 2 * n,
+                    lambda: _stream_replay(
+                        ordered, BudgetedRepack(budget=STREAM_MIGRATION_BUDGET)
+                    ),
+                ),
+                (
+                    fields("stream+wal(never)"), 2 * n,
+                    lambda: _wal_stream_replay(ordered, "never"),
+                ),
+                (
+                    fields("stream+wal(interval)"), 2 * n,
+                    lambda: _wal_stream_replay(ordered, "interval"),
+                ),
+                (
+                    {**fields("stream+wal(always)"), "instance": f"n{always_n}",
+                     "n_items": always_n},
+                    2 * always_n,
+                    lambda: _wal_stream_replay(ordered[:always_n], "always"),
+                ),
+            ]
+        _bench_group(report.service, "service", sel, repeats, cells)
     # Loopback cells: a real asyncio server driven by the closed-loop
     # load generator.  The JSON cells measure the debug/compat wire; the
     # binary cells measure the negotiated fast path, first one request
     # per frame window (batch only), then with eight frames in flight
-    # (pipelining).  All four run the same seeded instances, so the
-    # rows' ratio is the protocol cost and nothing else.
-    loop_items = poisson_workload(
-        SERVICE_LOOPBACK_JOBS, seed=WORKLOAD_SEED, mu_target=WORKLOAD_MU,
-        arrival_rate=4.0,
-    )
-    ordered = sorted(loop_items, key=lambda it: it.arrival)
-    high_items = poisson_workload(
-        SERVICE_LOOPBACK_JOBS, seed=WORKLOAD_SEED, mu_target=WORKLOAD_MU,
-        arrival_rate=SERVICE_LOOPBACK_HIGHLOAD_RATE,
-    )
-    high_ordered = sorted(high_items, key=lambda it: it.arrival)
-    binary = {
-        "protocol": "binary",
-        "batch": SERVICE_LOOPBACK_BATCH,
-        "pipeline": 1,
-    }
-    pipelined = dict(binary, pipeline=SERVICE_LOOPBACK_PIPELINE)
-    loop_cells = (
-        ("server-loopback", ordered, 4.0, {}),
-        (
-            "server-loopback-highload",
-            high_ordered,
-            SERVICE_LOOPBACK_HIGHLOAD_RATE,
-            {},
-        ),
-        ("server-loopback-binary", ordered, 4.0, binary),
-        ("server-loopback-pipelined", ordered, 4.0, pipelined),
-    )
-    for mode, cell_ordered, rate, loadgen_kwargs in loop_cells:
-        if not sel(f"service/n{SERVICE_LOOPBACK_JOBS}/{mode}"):
-            continue
-        best = _loopback_cell(cell_ordered, repeats, **loadgen_kwargs)
-        report.service.append(
-            {
-                "instance": f"n{SERVICE_LOOPBACK_JOBS}",
-                "n_items": SERVICE_LOOPBACK_JOBS,
-                "arrival_rate": rate,
-                "mode": mode,
-                "seconds": round(best.wall_seconds, 6),
-                "events_per_sec": round(best.requests_per_sec),
-            }
+    # (pipelining), then the pipelined client through the router.  All
+    # run the same seeded instances with the same client ids, so the
+    # rows' ratio is the protocol or the router hop and nothing else.
+    # Each lap counts one request per job.
+    n = SERVICE_LOOPBACK_JOBS
+    low, high = (
+        sorted(
+            poisson_workload(
+                n, seed=WORKLOAD_SEED, mu_target=WORKLOAD_MU, arrival_rate=rate
+            ),
+            key=lambda it: it.arrival,
         )
-    _bench_router(report, ordered, quick, repeats, sel)
+        for rate in (4.0, SERVICE_LOOPBACK_HIGHLOAD_RATE)
+    )
+    binary = {"protocol": "binary", "batch": SERVICE_LOOPBACK_BATCH}
+    pipelined = dict(binary, pipeline=SERVICE_LOOPBACK_PIPELINE)
+    loop = lambda mode, ordered, rate, shards=0, **kwargs: (
+        {"instance": f"n{n}", "n_items": n, "arrival_rate": rate, "mode": mode},
+        n,
+        lambda: asyncio.run(_loopback_replay(ordered, shards, **kwargs)),
+    )
+    shard_counts = SERVICE_ROUTER_QUICK_SHARDS if quick else SERVICE_ROUTER_SHARDS
+    _bench_group(report.service, "service", sel, repeats, [
+        loop("server-loopback", low, 4.0),
+        loop("server-loopback-highload", high, SERVICE_LOOPBACK_HIGHLOAD_RATE),
+        loop("server-loopback-binary", low, 4.0, **binary),
+        loop("server-loopback-pipelined", low, 4.0, **pipelined),
+        *(
+            loop(f"router-loopback-{s}shard", low, 4.0, s, **pipelined)
+            for s in shard_counts
+        ),
+    ])
 
 
 def run_bench(
@@ -709,58 +580,36 @@ def run_bench(
             "quick": quick,
         }
     )
-    grid = QUICK_GRID if quick else THROUGHPUT_GRID
-    for label, n, rate in grid:
-        items = poisson_workload(
-            n, seed=WORKLOAD_SEED, mu_target=WORKLOAD_MU, arrival_rate=rate
-        )
-        events = 2 * len(items)
-        for algo in ALGORITHMS:
-            for path, indexed in (("default", True), ("reference", False)):
-                if not sel(f"throughput/{label}/{algo}/{path}"):
-                    continue
-                secs = _best_of(
-                    repeats,
-                    lambda: run_packing(items, make_algorithm(algo), indexed=indexed),
-                )
-                report.throughput.append(
-                    {
-                        "instance": label,
-                        "n_items": n,
-                        "arrival_rate": rate,
-                        "algorithm": algo,
-                        "path": path,
-                        "seconds": round(secs, 6),
-                        "events_per_sec": round(events / secs),
+    grids = (
+        (
+            QUICK_GRID if quick else THROUGHPUT_GRID, ALGORITHMS, run_packing,
+            make_algorithm,
+            lambda n, rate: poisson_workload(
+                n, seed=WORKLOAD_SEED, mu_target=WORKLOAD_MU, arrival_rate=rate
+            ),
+        ),
+        (
+            VECTOR_QUICK_GRID if quick else VECTOR_GRID, VECTOR_ALGORITHMS,
+            run_vector_packing, make_vector_algorithm,
+            lambda n, rate: vector_workload(
+                n, seed=WORKLOAD_SEED, dimensions=VECTOR_DIMENSIONS,
+                arrival_rate=rate,
+            ),
+        ),
+    )
+    for grid, algorithms, pack, make, workload in grids:
+        for label, n, rate in grid:
+            items = workload(n, rate)
+            for algo in algorithms:
+                for path, indexed in (("default", True), ("reference", False)):
+                    fields = {
+                        "instance": label, "n_items": n, "arrival_rate": rate,
+                        "algorithm": algo, "path": path,
                     }
-                )
-    vector_grid = VECTOR_QUICK_GRID if quick else VECTOR_GRID
-    for label, n, rate in vector_grid:
-        vitems = vector_workload(
-            n, seed=WORKLOAD_SEED, dimensions=VECTOR_DIMENSIONS, arrival_rate=rate
-        )
-        events = 2 * len(vitems)
-        for algo in VECTOR_ALGORITHMS:
-            for path, indexed in (("default", True), ("reference", False)):
-                if not sel(f"throughput/{label}/{algo}/{path}"):
-                    continue
-                secs = _best_of(
-                    repeats,
-                    lambda: run_vector_packing(
-                        vitems, make_vector_algorithm(algo), indexed=indexed
-                    ),
-                )
-                report.throughput.append(
-                    {
-                        "instance": label,
-                        "n_items": n,
-                        "arrival_rate": rate,
-                        "algorithm": algo,
-                        "path": path,
-                        "seconds": round(secs, 6),
-                        "events_per_sec": round(events / secs),
-                    }
-                )
+                    _bench_group(report.throughput, "throughput", sel, repeats, [(
+                        fields, 2 * n,
+                        lambda: pack(items, make(algo), indexed=indexed),
+                    )])
     _bench_traces(report, quick, repeats, sel)
     _bench_service(report, quick, repeats, sel)
     if montecarlo and sel("montecarlo"):

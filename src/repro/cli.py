@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--repeats", type=_positive_int, default=3,
-        help="timing repeats per cell (best-of, default 3)",
+        help="timed laps per cell; a row gives their median [Q1, Q3] (default 3)",
     )
     p_bench.add_argument(
         "--only", default=None, metavar="PATTERN",
@@ -237,11 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     server_flags.add_argument(
         "--defrag-interval", type=float, default=0.5, metavar="SECONDS",
         help="seconds between defragmenter passes (default 0.5)",
-    )
-    server_flags.add_argument(
-        "--uvloop", action="store_true",
-        help="use the uvloop event loop if installed (warns and falls "
-        "back to asyncio otherwise)",
     )
     server_flags.add_argument("--quiet", action="store_true")
 
@@ -487,11 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach an end-to-end deadline budget (milliseconds) to "
         "every request; each hop spends from it and an exhausted budget "
         "answers deadline_exceeded (0 = no deadline, the default)",
-    )
-    p_load.add_argument(
-        "--uvloop", action="store_true",
-        help="use the uvloop event loop if installed (warns and falls "
-        "back to asyncio otherwise)",
     )
     p_load.add_argument(
         "--json", default=None, help="write the client-side report here"
@@ -759,28 +749,6 @@ def cmd_verify(trace: str) -> int:
     return 1
 
 
-def _maybe_uvloop(enabled: bool) -> bool:
-    """Install uvloop as the event-loop policy when asked and available.
-
-    The container may not ship uvloop (it is an optional accelerator,
-    never a dependency) — in that case warn once and keep stock asyncio,
-    so ``--uvloop`` is always safe to pass.
-    """
-    if not enabled:
-        return False
-    try:
-        import uvloop
-    except ImportError:
-        print(
-            "warning: --uvloop requested but uvloop is not installed; "
-            "using the stock asyncio event loop",
-            file=sys.stderr,
-        )
-        return False
-    uvloop.install()
-    return True
-
-
 def _builtin_digests() -> bool:
     """Whether hashlib can build all of its digests without OpenSSL.
 
@@ -811,9 +779,8 @@ def _import_without_openssl(*modules: str) -> None:
     ``sys.modules`` makes an import fail, so asyncio keeps its
     ``ssl = None`` plain-TCP fallback and hashlib its builtin digests,
     which give the same bytes.  Only the entries added here are
-    removed afterwards, so a later ``import ssl`` (uvloop's) still
-    works.  On an interpreter without builtin digests hashlib loads
-    OpenSSL as usual.
+    removed afterwards, so a later ``import ssl`` still works.  On an
+    interpreter without builtin digests hashlib loads OpenSSL as usual.
     """
     hidden = [name for name in ("ssl", "_ssl") if name not in sys.modules]
     if "_hashlib" not in sys.modules and (
@@ -893,7 +860,6 @@ def cmd_serve(args) -> int:
             service_kwargs["defrag_interval"] = args.defrag_interval
         if args.num_shards > 1:
             service_kwargs["shard"] = spec
-        _maybe_uvloop(args.uvloop)
         try:
             return asyncio.run(
                 serve(
@@ -993,7 +959,6 @@ def cmd_fleet(args) -> int:
         probe_misses=args.probe_misses,
         router_kwargs=router_kwargs,
     )
-    _maybe_uvloop(args.uvloop)
     try:
         return asyncio.run(
             supervisor.run(
@@ -1133,7 +1098,6 @@ def cmd_loadgen(args) -> int:
         items = poisson_workload(
             args.n, seed=args.seed, mu_target=args.mu, arrival_rate=args.rate
         )
-    _maybe_uvloop(args.uvloop)
     try:
         report = loadgen(
             items,

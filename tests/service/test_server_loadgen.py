@@ -254,22 +254,6 @@ class TestReportAndBinaryCli:
         assert rc == 2
         assert "binary" in capsys.readouterr().err
 
-    def test_uvloop_flag_warns_and_falls_back_when_missing(self, capsys):
-        """--uvloop must never be fatal: absent uvloop -> warn + stock loop."""
-        from repro.cli import _maybe_uvloop
-
-        try:
-            import uvloop  # noqa: F401
-        except ImportError:
-            pass
-        else:
-            pytest.skip("uvloop is installed in this environment")
-        assert _maybe_uvloop(False) is False
-        assert capsys.readouterr().err == ""
-        assert _maybe_uvloop(True) is False
-        err = capsys.readouterr().err
-        assert "uvloop" in err and "not installed" in err
-
     def test_serve_and_loadgen_binary_pipelined_cli(self, tmp_path, capsys):
         port_file = tmp_path / "port.txt"
         report_file = tmp_path / "loadgen.json"

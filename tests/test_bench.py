@@ -8,7 +8,11 @@ and excluded from the default pytest invocation (select it with
 
 from __future__ import annotations
 
+import gc
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,8 @@ from repro.bench import (
     VECTOR_ALGORITHMS,
     VECTOR_GRID,
     VECTOR_QUICK_GRID,
+    _laps,
+    _row,
     run_bench,
 )
 
@@ -46,9 +52,66 @@ def expected_rows(scalar_grid, vector_grid):
     )
 
 
+@pytest.fixture
+def pairs(monkeypatch):
+    """``benchmarks/pairs.py``, which is a script, not a package module."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_laps_run_every_cell_once_per_lap_in_order():
+    calls = []
+
+    def a():
+        calls.append(("a", gc.isenabled()))
+
+    def b():
+        calls.append(("b", gc.isenabled()))
+        return 0.25  # a cell that times itself
+
+    laps = _laps(3, {"a": a, "b": b})
+    assert calls == [("a", False), ("b", False)] * 3
+    assert laps["b"] == [0.25] * 3
+    assert len(laps["a"]) == 3 and all(lap >= 0 for lap in laps["a"])
+    assert gc.isenabled()
+
+
+def test_laps_enable_gc_again_when_a_cell_raises():
+    def boom():
+        raise RuntimeError("cell failed")
+
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="cell failed"):
+        _laps(2, {"a": lambda: None, "b": boom})
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize(
+    "laps",
+    [[0.5], [0.3, 0.1], [0.4, 0.1, 0.3], [0.9, 0.2, 0.4, 0.35, 0.6, 0.11, 0.5]],
+)
+def test_row_quartiles_follow_pairs_rule(pairs, laps):
+    median, q1, q3 = pairs.quartiles(laps)
+    row = _row({"instance": "x", "mode": "m"}, 1000, laps)
+    assert row["instance"] == "x" and row["mode"] == "m"
+    assert row["seconds"] == round(median, 6)
+    assert row["q1"] == round(q1, 6)
+    assert row["q3"] == round(q3, 6)
+    assert row["n"] == len(laps)
+    assert row["events_per_sec"] == round(1000 / median)
+
+
 def test_quick_bench_structure(tmp_path):
     out = tmp_path / "bench.json"
-    report = run_bench(quick=True, repeats=1, json_path=str(out), montecarlo=False)
+    repeats = 2
+    report = run_bench(
+        quick=True, repeats=repeats, json_path=str(out), montecarlo=False
+    )
     assert len(report.throughput) == expected_rows(QUICK_GRID, VECTOR_QUICK_GRID)
     for row in report.throughput:
         assert row["events_per_sec"] > 0
@@ -58,11 +121,10 @@ def test_quick_bench_structure(tmp_path):
     for row in trace_rows:
         assert row["instance"].startswith("trace-azure-")
     # two replay modes per grid cell, the migration-churn cell, three
-    # WAL cells, four loopback cells, and the router cells (direct
-    # baseline + quick shard counts)
+    # WAL cells, four loopback cells, and one router cell per quick
+    # shard count
     assert len(report.service) == (
-        2 * len(SERVICE_QUICK_GRID) + 1 + 3 + 4
-        + 1 + len(SERVICE_ROUTER_QUICK_SHARDS)
+        2 * len(SERVICE_QUICK_GRID) + 1 + 3 + 4 + len(SERVICE_ROUTER_QUICK_SHARDS)
     )
     modes = {r["mode"] for r in report.service}
     assert modes == {
@@ -76,11 +138,13 @@ def test_quick_bench_structure(tmp_path):
         "server-loopback-highload",
         "server-loopback-binary",
         "server-loopback-pipelined",
-        "router-loopback-direct",
         *(f"router-loopback-{s}shard" for s in SERVICE_ROUTER_QUICK_SHARDS),
     }
     for row in report.service:
         assert row["events_per_sec"] > 0
+    for row in report.throughput + report.service:
+        assert row["q1"] <= row["seconds"] <= row["q3"], row
+        assert row["n"] == repeats, row
     payload = json.loads(out.read_text())
     assert payload["schema"] == 2
     assert payload["meta"]["seed"] == 99
@@ -159,25 +223,21 @@ def test_full_bench_baseline(tmp_path):
     report = run_bench(quick=False, repeats=3, json_path=str(out))
     assert len(report.throughput) == expected_rows(THROUGHPUT_GRID, VECTOR_GRID)
     assert len(report.service) == (
-        2 * len(SERVICE_GRID) + 1 + 3 + 4 + 1 + len(SERVICE_ROUTER_SHARDS)
+        2 * len(SERVICE_GRID) + 1 + 3 + 4 + len(SERVICE_ROUTER_SHARDS)
     )
     assert report.montecarlo["identical"] is True
-    # the fleet floor: the 1-shard router on the binary fast path costs
-    # at most 15% over the same-run direct (router-less) baseline — the
-    # transparent-proxy tax, measured interleaved to cancel drift
-    router = {
-        r["mode"]: r for r in report.service
-        if r["mode"].startswith("router-loopback")
+    # every floor below reads median rows
+    loop = {
+        r["mode"]: r for r in report.service if "-loopback" in r["mode"]
     }
-    assert router["router-loopback-1shard"]["seconds"] <= (
-        1.15 * router["router-loopback-direct"]["seconds"]
+    # the fleet floor: the 1-shard router on the binary fast path costs
+    # at most 15% over the router-less pipelined cell — the
+    # transparent-proxy tax, timed in the same laps to cancel drift
+    assert loop["router-loopback-1shard"]["seconds"] <= (
+        1.15 * loop["server-loopback-pipelined"]["seconds"]
     )
     # the wire-protocol floor: the binary loopback cells must clear 10x
     # the JSON loopback cell measured in the same run
-    loop = {
-        r["mode"]: r for r in report.service
-        if r["mode"].startswith("server-loopback")
-    }
     json_cell = loop["server-loopback"]["events_per_sec"]
     assert loop["server-loopback-binary"]["events_per_sec"] >= 10 * json_cell
     assert loop["server-loopback-pipelined"]["events_per_sec"] >= 10 * json_cell

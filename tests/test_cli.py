@@ -45,7 +45,6 @@ class TestParser:
             "checkpoint_interval": 1000,
             "defrag": 0,
             "defrag_interval": 0.5,
-            "uvloop": False,
             "quiet": False,
         }
         serve = vars(build_parser().parse_args(["serve"]))

@@ -333,8 +333,7 @@ def _run_fresh(script: str) -> None:
 def test_openssl_stays_importable_after_the_service_imports():
     """asyncio and hashlib are imported without OpenSSL, the MANIFEST
     fingerprint comes out the same, and the hidden entries are gone
-    afterwards, so ``import ssl`` (uvloop's, under ``--uvloop``) loads
-    it as usual."""
+    afterwards, so a later ``import ssl`` loads it as usual."""
     _run_fresh(
         """
         import json, sys
