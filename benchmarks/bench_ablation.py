@@ -1,15 +1,18 @@
 """X2: ablations — selection rule, hybrid thresholds, analysis constants."""
 
+from repro.experiments import run_spec
 from repro.experiments.ablation import (
-    run_constants_ablation,
-    run_hff_threshold_ablation,
-    run_selection_ablation,
+    CONSTANTS_ABLATION_SPEC,
+    HFF_THRESHOLD_SPEC,
+    SELECTION_ABLATION_SPEC,
 )
 
 
 def test_selection_rule_ablation(benchmark, save_artifact):
-    exp = benchmark.pedantic(lambda: run_selection_ablation(mu=8.0),
-                             rounds=1, iterations=1)
+    exp = benchmark.pedantic(
+        lambda: run_spec(SELECTION_ABLATION_SPEC, dict(mu=8.0)),
+        rounds=1, iterations=1,
+    )
     by = {r["selection"]: r for r in exp.rows}
     # First Fit's worst ratio is no worse than Best Fit's over the suite
     # (the staircase instance punishes BF)
@@ -18,8 +21,10 @@ def test_selection_rule_ablation(benchmark, save_artifact):
 
 
 def test_hff_threshold_ablation(benchmark, save_artifact):
-    exp = benchmark.pedantic(lambda: run_hff_threshold_ablation(mu=8.0),
-                             rounds=1, iterations=1)
+    exp = benchmark.pedantic(
+        lambda: run_spec(HFF_THRESHOLD_SPEC, dict(mu=8.0)),
+        rounds=1, iterations=1,
+    )
     # finer classification can't help on random workloads where mixing is
     # fine — plain FF (classes = 1) should be best or near-best
     plain = next(r for r in exp.rows if r["classes"] == 1)
@@ -28,8 +33,9 @@ def test_hff_threshold_ablation(benchmark, save_artifact):
 
 
 def test_constants_reconstruction_ablation(benchmark, save_artifact):
-    exp = benchmark.pedantic(lambda: run_constants_ablation(),
-                             rounds=1, iterations=1)
+    exp = benchmark.pedantic(
+        lambda: run_spec(CONSTANTS_ABLATION_SPEC), rounds=1, iterations=1
+    )
     rec = next(r for r in exp.rows if "reconstructed" in r["constants"])
     wrong = [r for r in exp.rows if "reconstructed" not in r["constants"]]
     # the reconstructed constants are violation-free; at least one

@@ -1,12 +1,14 @@
 """X4: adaptive keep-alive adversary vs deterministic policies."""
 
-from repro.experiments.adaptive import run_adaptive_adversary
+from repro.experiments import run_spec
+from repro.experiments.adaptive import ADAPTIVE_SPEC
 
 
 def test_adaptive_adversary_table(benchmark, save_artifact):
     exp = benchmark.pedantic(
-        lambda: run_adaptive_adversary(waves=5, k=5, bins_per_wave=3,
-                                       mus=(4.0, 8.0)),
+        lambda: run_spec(
+            ADAPTIVE_SPEC, dict(waves=5, k=5, bins_per_wave=3, mus=(4.0, 8.0))
+        ),
         rounds=1,
         iterations=1,
     )

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.experiments.anatomy import run_cost_anatomy
+from repro.experiments import run_spec
+from repro.experiments.anatomy import ANATOMY_SPEC
 
 
 def test_cost_anatomy_table(benchmark, save_artifact):
-    exp = benchmark.pedantic(lambda: run_cost_anatomy(), rounds=1, iterations=1)
+    exp = benchmark.pedantic(lambda: run_spec(ANATOMY_SPEC), rounds=1, iterations=1)
     rows = {r["family"]: r for r in exp.rows}
     # shares partition the cost
     for r in exp.rows:

@@ -2,12 +2,15 @@
 
 import pytest
 
-from repro.experiments.lower_bounds import run_universal_lower_bound
+from repro.experiments import run_spec
+from repro.experiments.lower_bounds import UNIVERSAL_LB_SPEC
 
 
 def test_universal_lower_bound_table(benchmark, save_artifact):
     exp = benchmark.pedantic(
-        lambda: run_universal_lower_bound(ns=(8, 16, 32), mus=(2.0, 4.0, 8.0)),
+        lambda: run_spec(
+            UNIVERSAL_LB_SPEC, dict(ns=(8, 16, 32), mus=(2.0, 4.0, 8.0))
+        ),
         rounds=1,
         iterations=1,
     )

@@ -1,10 +1,13 @@
 """X6: resource augmentation sweep."""
 
-from repro.experiments.augmentation_exp import run_augmentation
+from repro.experiments import run_spec
+from repro.experiments.augmentation_exp import AUGMENTATION_SPEC
 
 
 def test_augmentation_table(benchmark, save_artifact):
-    exp = benchmark.pedantic(lambda: run_augmentation(), rounds=1, iterations=1)
+    exp = benchmark.pedantic(
+        lambda: run_spec(AUGMENTATION_SPEC), rounds=1, iterations=1
+    )
     for row in exp.rows:
         # moderate augmentation always helps relative to ε = 0
         assert row["eps=0.25"] <= row["eps=0"] + 1e-9

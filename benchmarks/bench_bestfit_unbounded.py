@@ -1,11 +1,14 @@
 """T4: the Best Fit staircase — the BF-specific failure mode."""
 
-from repro.experiments.lower_bounds import run_bestfit_staircase
+from repro.experiments import run_spec
+from repro.experiments.lower_bounds import BESTFIT_STAIRCASE_SPEC
 
 
 def test_bestfit_staircase_table(benchmark, save_artifact):
     exp = benchmark.pedantic(
-        lambda: run_bestfit_staircase(ns=(12, 24, 48), mus=(4.0, 8.0, 16.0)),
+        lambda: run_spec(
+            BESTFIT_STAIRCASE_SPEC, dict(ns=(12, 24, 48), mus=(4.0, 8.0, 16.0))
+        ),
         rounds=1,
         iterations=1,
     )

@@ -1,10 +1,13 @@
 """T5: the known-bounds table vs measured worst-case ratios."""
 
-from repro.experiments.comparison import run_bounds_table
+from repro.experiments import run_spec
+from repro.experiments.comparison import BOUNDS_TABLE_SPEC
 
 
 def test_bounds_table(benchmark, save_artifact):
-    exp = benchmark.pedantic(lambda: run_bounds_table(mu=8.0), rounds=1, iterations=1)
+    exp = benchmark.pedantic(
+        lambda: run_spec(BOUNDS_TABLE_SPEC, dict(mu=8.0)), rounds=1, iterations=1
+    )
     rows = {r["algorithm"]: r for r in exp.rows}
     # First Fit within µ+4 = 12
     assert rows["first-fit"]["measured_worst"] <= 12.0

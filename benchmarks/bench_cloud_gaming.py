@@ -2,12 +2,15 @@
 
 import pytest
 
-from repro.experiments.cloud_gaming import run_cloud_gaming
+from repro.experiments import run_spec
+from repro.experiments.cloud_gaming import CLOUD_GAMING_SPEC
 
 
 def test_cloud_gaming_table(benchmark, save_artifact):
     exp = benchmark.pedantic(
-        lambda: run_cloud_gaming(num_sessions=300, rates=(1.0, 4.0, 12.0), seed=42),
+        lambda: run_spec(CLOUD_GAMING_SPEC, dict(
+            num_sessions=300, rates=(1.0, 4.0, 12.0), seed=42
+        )),
         rounds=1,
         iterations=1,
     )

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.experiments.deferral_exp import run_deferral
+from repro.experiments import run_spec
+from repro.experiments.deferral_exp import DEFERRAL_SPEC
 
 
 def test_deferral_frontier(benchmark, save_artifact):
-    exp = benchmark.pedantic(lambda: run_deferral(), rounds=1, iterations=1)
+    exp = benchmark.pedantic(lambda: run_spec(DEFERRAL_SPEC), rounds=1, iterations=1)
     rows = exp.rows
     # zero patience is exactly First Fit
     assert rows[0]["max_delay"] == 0.0

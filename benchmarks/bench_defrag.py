@@ -1,10 +1,11 @@
 """X13: online bounded-migration repacking (usage ratio vs. move budget)."""
 
-from repro.experiments.defrag_exp import run_defrag_budget
+from repro.experiments import run_spec
+from repro.experiments.defrag_exp import DEFRAG_SPEC
 
 
 def test_defrag_budget_table(benchmark, save_artifact):
-    exp = benchmark.pedantic(lambda: run_defrag_budget(), rounds=1, iterations=1)
+    exp = benchmark.pedantic(lambda: run_spec(DEFRAG_SPEC), rounds=1, iterations=1)
     by_family = {}
     for row in exp.rows:
         by_family.setdefault(row["family"], []).append(row)

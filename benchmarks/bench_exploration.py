@@ -1,11 +1,14 @@
 """X5: hill-climbing falsification attempt on the competitive bounds."""
 
-from repro.experiments.exploration import run_worst_case_search
+from repro.experiments import run_spec
+from repro.experiments.exploration import WORST_CASE_SPEC
 
 
 def test_worst_case_search(benchmark, save_artifact):
     exp = benchmark.pedantic(
-        lambda: run_worst_case_search(mu=4.0, iterations=120, seeds=(0, 1)),
+        lambda: run_spec(
+            WORST_CASE_SPEC, dict(mu=4.0, iterations=120, seeds=(0, 1))
+        ),
         rounds=1,
         iterations=1,
     )

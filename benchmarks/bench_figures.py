@@ -6,17 +6,12 @@ figure illustrates, and saves the ASCII rendering.
 
 import pytest
 
-from repro.experiments.figures import (
-    figure1_span,
-    figure2_usage_periods,
-    figure3_subperiods,
-    figure4_supplier,
-    figures56_nonintersection,
-)
+from repro.experiments import run_spec
+from repro.experiments.figures import F1_SPEC, F2_SPEC, F3_SPEC, F4_SPEC, F56_SPEC
 
 
 def test_figure1_span(benchmark, save_artifact):
-    out = benchmark.pedantic(figure1_span, rounds=3, iterations=1)
+    out = benchmark.pedantic(lambda: run_spec(F1_SPEC), rounds=3, iterations=1)
     items = out.data
     # Figure 1's point: the span is the measure of the union, not the sum
     assert items.span < sum(it.duration for it in items)
@@ -24,7 +19,7 @@ def test_figure1_span(benchmark, save_artifact):
 
 
 def test_figure2_usage_periods(benchmark, save_artifact):
-    out = benchmark.pedantic(figure2_usage_periods, rounds=3, iterations=1)
+    out = benchmark.pedantic(lambda: run_spec(F2_SPEC), rounds=3, iterations=1)
     deco = out.data
     # Section IV identity: ΣW = span and U = V ⊎ W per bin
     assert deco.total_w == pytest.approx(deco.span)
@@ -33,7 +28,7 @@ def test_figure2_usage_periods(benchmark, save_artifact):
 
 
 def test_figure3_subperiods(benchmark, save_artifact):
-    out = benchmark.pedantic(figure3_subperiods, rounds=1, iterations=1)
+    out = benchmark.pedantic(lambda: run_spec(F3_SPEC), rounds=1, iterations=1)
     subs = out.data
     # the split must produce both kinds of subperiods on this instance
     assert any(b.l_subperiods for b in subs)
@@ -42,7 +37,7 @@ def test_figure3_subperiods(benchmark, save_artifact):
 
 
 def test_figure4_supplier(benchmark, save_artifact):
-    out = benchmark.pedantic(figure4_supplier, rounds=1, iterations=1)
+    out = benchmark.pedantic(lambda: run_spec(F4_SPEC), rounds=1, iterations=1)
     analysis = out.data
     assert analysis.groups
     # supplier bins always have lower indices than their client bins
@@ -53,7 +48,7 @@ def test_figure4_supplier(benchmark, save_artifact):
 
 def test_figures5_6_nonintersection(benchmark, save_artifact):
     out = benchmark.pedantic(
-        figures56_nonintersection, kwargs={"seeds": tuple(range(12))},
+        lambda: run_spec(F56_SPEC, {"seeds": tuple(range(12))}),
         rounds=1, iterations=1,
     )
     assert out.data["violations"] == 0

@@ -1,11 +1,12 @@
 """T7: heterogeneous fleet launch policies vs homogeneous baseline."""
 
-from repro.experiments.fleet_exp import run_fleet_comparison
+from repro.experiments import run_spec
+from repro.experiments.fleet_exp import FLEET_SPEC
 
 
 def test_fleet_comparison_table(benchmark, save_artifact):
     exp = benchmark.pedantic(
-        lambda: run_fleet_comparison(num_sessions=300, rates=(2.0, 8.0)),
+        lambda: run_spec(FLEET_SPEC, dict(num_sessions=300, rates=(2.0, 8.0))),
         rounds=1,
         iterations=1,
     )

@@ -1,11 +1,12 @@
 """X3: the price of information and of migration."""
 
-from repro.experiments.information import run_information_price
+from repro.experiments import run_spec
+from repro.experiments.information import INFORMATION_SPEC
 
 
 def test_information_price_table(benchmark, save_artifact):
     exp = benchmark.pedantic(
-        lambda: run_information_price(n=13, seeds=tuple(range(8))),
+        lambda: run_spec(INFORMATION_SPEC, dict(n=13, seeds=tuple(range(8)))),
         rounds=1,
         iterations=1,
     )

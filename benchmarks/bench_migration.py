@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.experiments.migration_exp import run_migration_budget
+from repro.experiments import run_spec
+from repro.experiments.migration_exp import MIGRATION_SPEC
 
 
 def test_migration_budget_table(benchmark, save_artifact):
-    exp = benchmark.pedantic(lambda: run_migration_budget(), rounds=1, iterations=1)
+    exp = benchmark.pedantic(lambda: run_spec(MIGRATION_SPEC), rounds=1, iterations=1)
     for row in exp.rows:
         # the constructed schedule attains the OPT integral (witness)
         assert row["schedule"] == pytest.approx(row["repack_opt"], rel=1e-6)

@@ -1,11 +1,12 @@
 """X7: expected competitive ratio vs load and µ (bootstrap CIs)."""
 
-from repro.experiments.montecarlo import run_expected_ratio
+from repro.experiments import run_spec
+from repro.experiments.montecarlo import EXPECTED_RATIO_SPEC
 
 
 def test_expected_ratio_table(benchmark, save_artifact):
     exp = benchmark.pedantic(
-        lambda: run_expected_ratio(n=60, replications=10),
+        lambda: run_spec(EXPECTED_RATIO_SPEC, dict(n=60, replications=10)),
         rounds=1,
         iterations=1,
     )

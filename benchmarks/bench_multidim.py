@@ -1,12 +1,15 @@
 """X1: the multi-dimensional extension (Section IX future work)."""
 
-from repro.experiments.multidim_exp import run_multidim
+from repro.experiments import run_spec
+from repro.experiments.multidim_exp import MULTIDIM_SPEC
 
 
 def test_multidim_table(benchmark, save_artifact):
     exp = benchmark.pedantic(
-        lambda: run_multidim(n=120, seeds=(1, 2, 3), dimensions=(1, 2, 3),
-                             correlations=(0.0, 0.5, 1.0)),
+        lambda: run_spec(MULTIDIM_SPEC, dict(
+            n=120, seeds=(1, 2, 3), dimensions=(1, 2, 3),
+            correlations=(0.0, 0.5, 1.0),
+        )),
         rounds=1,
         iterations=1,
     )

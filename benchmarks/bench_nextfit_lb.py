@@ -2,12 +2,15 @@
 
 import pytest
 
-from repro.experiments.nextfit import run_nextfit_lower_bound
+from repro.experiments import run_spec
+from repro.experiments.nextfit import NEXTFIT_LB_SPEC
 
 
 def test_nextfit_lower_bound_table(benchmark, save_artifact):
     exp = benchmark.pedantic(
-        lambda: run_nextfit_lower_bound(ns=(4, 8, 16, 32, 64), mus=(2.0, 4.0, 8.0)),
+        lambda: run_spec(
+            NEXTFIT_LB_SPEC, dict(ns=(4, 8, 16, 32, 64), mus=(2.0, 4.0, 8.0))
+        ),
         rounds=1,
         iterations=1,
     )

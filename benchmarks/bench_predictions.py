@@ -2,11 +2,14 @@
 
 import math
 
-from repro.experiments.predictions_exp import run_predictions
+from repro.experiments import run_spec
+from repro.experiments.predictions_exp import PREDICTIONS_SPEC
 
 
 def test_predictions_table(benchmark, save_artifact):
-    exp = benchmark.pedantic(lambda: run_predictions(), rounds=1, iterations=1)
+    exp = benchmark.pedantic(
+        lambda: run_spec(PREDICTIONS_SPEC), rounds=1, iterations=1
+    )
     rows = exp.rows
     oracle = next(r for r in rows if r["policy"].startswith("oracle"))
     ff = next(r for r in rows if r["policy"].startswith("first-fit"))

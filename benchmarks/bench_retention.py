@@ -1,11 +1,12 @@
 """T8: warm-server retention under hourly vs continuous billing."""
 
-from repro.experiments.retention_exp import run_retention
+from repro.experiments import run_spec
+from repro.experiments.retention_exp import RETENTION_SPEC
 
 
 def test_retention_table(benchmark, save_artifact):
     exp = benchmark.pedantic(
-        lambda: run_retention(num_sessions=300, rates=(2.0, 8.0)),
+        lambda: run_spec(RETENTION_SPEC, dict(num_sessions=300, rates=(2.0, 8.0))),
         rounds=1,
         iterations=1,
     )

@@ -1,16 +1,17 @@
 """T1: First Fit competitive ratio vs the µ+4 bound (Theorem 1)."""
 
-from repro.experiments.theorem1 import run_theorem1
+from repro.experiments import run_spec
+from repro.experiments.theorem1 import THEOREM1_SPEC
 
 
 def test_theorem1_table(benchmark, save_artifact):
     exp = benchmark.pedantic(
-        lambda: run_theorem1(
+        lambda: run_spec(THEOREM1_SPEC, dict(
             mus=(2.0, 4.0, 8.0, 16.0),
             adversarial_n=24,
             random_n=80,
             random_seeds=(1, 2, 3),
-        ),
+        )),
         rounds=1,
         iterations=1,
     )

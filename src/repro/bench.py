@@ -28,8 +28,8 @@ generator's own ``wall_seconds``).  Every lap is kept, and
 each other share a group, so their laps run side by side and a drift
 in machine speed falls on all of them alike: the trace-vs-Poisson
 cells, one service instance's streaming cells (bare, metrics,
-migration, WAL), and the loopback and router cells.  Each throughput
-grid cell is a group of its own.
+migration, WAL), the loopback and router cells, and the ``default``
+and ``reference`` paths of one throughput grid instance and algorithm.
 
 ``repro bench --only PATTERN`` regenerates a subset: every cell has a
 composite key (``throughput/<instance>/<algorithm>/<path>``,
@@ -37,7 +37,9 @@ composite key (``throughput/<instance>/<algorithm>/<path>``,
 and when ``--json`` points at an existing report the unmatched cells are
 carried over from it rather than dropped — so one noisy or newly added
 row can be re-measured without re-running the whole grid.  A group
-runs whole when any of its keys matches.
+runs whole when any of its keys matches, so
+``throughput/n2000/first-fit/default`` re-measures the ``reference``
+row beside it too.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ from typing import Any, Callable, Optional
 from .algorithms import make_algorithm
 from .core.packing import run_packing
 from .experiments.harness import format_table
-from .experiments.montecarlo import run_expected_ratio
+from .experiments.montecarlo import EXPECTED_RATIO_SPEC
+from .experiments.runner import run_spec
 from .multidim import make_vector_algorithm, run_vector_packing, vector_workload
 from .traces import generate_azure_trace, load_items, normalize_items
 from .workloads.random_workloads import poisson_workload
@@ -412,13 +415,17 @@ def _bench_traces(
     """
     n = TRACE_BENCH_QUICK_JOBS if quick else TRACE_BENCH_JOBS
     instance = f"trace-azure-n{n}"
+    # the baselines' arrival rate; a replayed trace has none in
+    # trace-time units (the generator's rate is per day), so its rows
+    # record None
+    rate = 4.0
     modes = (
-        ("first-fit", "trace-replay"),
-        ("first-fit", "poisson-baseline"),
-        ("vector-first-fit", "trace-replay-vector"),
-        ("vector-first-fit", "poisson-baseline-vector"),
+        ("first-fit", "trace-replay", None),
+        ("first-fit", "poisson-baseline", rate),
+        ("vector-first-fit", "trace-replay-vector", None),
+        ("vector-first-fit", "poisson-baseline-vector", rate),
     )
-    if not sel.any(f"throughput/{instance}/{algo}/{mode}" for algo, mode in modes):
+    if not sel.any(f"throughput/{instance}/{algo}/{mode}" for algo, mode, _ in modes):
         return  # before the trace file is generated for nothing
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         path = os.path.join(tmp, f"azure-{n}.csv")
@@ -428,11 +435,11 @@ def _bench_traces(
         vector, _ = load_items(path, schema="azure", vector=True)
         vector, _ = normalize_items(vector)
     base_scalar = poisson_workload(
-        len(scalar), seed=WORKLOAD_SEED, mu_target=WORKLOAD_MU, arrival_rate=4.0
+        len(scalar), seed=WORKLOAD_SEED, mu_target=WORKLOAD_MU, arrival_rate=rate
     )
     base_vector = vector_workload(
         len(vector), seed=WORKLOAD_SEED, dimensions=VECTOR_DIMENSIONS,
-        arrival_rate=4.0,
+        arrival_rate=rate,
     )
     ff = lambda items: run_packing(items, make_algorithm("first-fit"))
     vff = lambda items: run_vector_packing(
@@ -449,14 +456,14 @@ def _bench_traces(
             {
                 "instance": instance,
                 "n_items": len(scalar),
-                "arrival_rate": 200.0,
+                "arrival_rate": arrival_rate,
                 "algorithm": algo,
                 "path": mode,
             },
             2 * len(scalar),
             lap,
         )
-        for (algo, mode), lap in zip(modes, laps)
+        for (algo, mode, arrival_rate), lap in zip(modes, laps)
     ])
 
 
@@ -601,15 +608,20 @@ def run_bench(
         for label, n, rate in grid:
             items = workload(n, rate)
             for algo in algorithms:
-                for path, indexed in (("default", True), ("reference", False)):
-                    fields = {
-                        "instance": label, "n_items": n, "arrival_rate": rate,
-                        "algorithm": algo, "path": path,
-                    }
-                    _bench_group(report.throughput, "throughput", sel, repeats, [(
-                        fields, 2 * n,
-                        lambda: pack(items, make(algo), indexed=indexed),
-                    )])
+                _bench_group(report.throughput, "throughput", sel, repeats, [
+                    (
+                        {
+                            "instance": label, "n_items": n,
+                            "arrival_rate": rate, "algorithm": algo,
+                            "path": path,
+                        },
+                        2 * n,
+                        lambda indexed=indexed: pack(
+                            items, make(algo), indexed=indexed
+                        ),
+                    )
+                    for path, indexed in (("default", True), ("reference", False))
+                ])
     _bench_traces(report, quick, repeats, sel)
     _bench_service(report, quick, repeats, sel)
     if montecarlo and sel("montecarlo"):
@@ -620,10 +632,10 @@ def run_bench(
             n=70, replications=24, loads=(2.0, 6.0), mus=(8.0,), node_budget=60_000
         )
         t_serial = time.perf_counter()
-        serial = run_expected_ratio(**config, workers=None)
+        serial = run_spec(EXPECTED_RATIO_SPEC, config)
         t_serial = time.perf_counter() - t_serial
         t_par = time.perf_counter()
-        parallel = run_expected_ratio(**config, workers=-1)
+        parallel = run_spec(EXPECTED_RATIO_SPEC, config, workers=-1)
         t_par = time.perf_counter() - t_par
         report.montecarlo = {
             "config": config,

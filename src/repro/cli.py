@@ -1274,13 +1274,13 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
         print(profile_instance(load_trace(args.trace)).render())
         return 0
     if args.command == "report":
-        from .experiments.report import generate_report_summary
+        from .experiments.report import generate_report
 
         cache_dir = args.cache_dir
         if cache_dir is None and args.resume:
             cache_dir = ".repro-cache"
         try:
-            path, summary = generate_report_summary(
+            path, summary = generate_report(
                 args.out,
                 only=tuple(args.only) if args.only else None,
                 progress=lambda eid: print(f"running {eid} ..."),

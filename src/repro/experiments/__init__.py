@@ -1,58 +1,46 @@
 """Per-figure/table experiment harness (see DESIGN.md §3 for the index).
 
 Every experiment is a declarative :class:`~repro.experiments.spec.ExperimentSpec`
-(``SPEC_REGISTRY``) driven by the :mod:`~repro.experiments.runner`
-framework — sharded execution, content-addressed artifact cache, resume.
-The historical ``run_*`` callables (``EXPERIMENT_REGISTRY``) remain as
-thin back-compat wrappers that run their spec through the serial runner.
+in ``SPEC_REGISTRY``, and it runs one way: through its spec.
+:func:`~repro.experiments.runner.run_spec` runs one experiment, uncached::
+
+    run_spec(SPEC_REGISTRY["T1"], {"mus": (2.0, 4.0)})
+    run_spec(SPEC_REGISTRY["X7"], workers=-1)  # shards across CPUs
+
+and ``ExperimentRunner.run_many`` runs a batch, with sharding, a
+content-addressed artifact cache and resume.  ``repro run`` and
+``repro report`` are built on these two.
 """
 
-from .adaptive import ADAPTIVE_SPEC, run_adaptive_adversary
-from .anatomy import ANATOMY_SPEC, run_cost_anatomy
-from .augmentation_exp import AUGMENTATION_SPEC, run_augmentation
+from .adaptive import ADAPTIVE_SPEC
+from .anatomy import ANATOMY_SPEC
+from .augmentation_exp import AUGMENTATION_SPEC
 from .ablation import (
     CONSTANTS_ABLATION_SPEC,
     HFF_THRESHOLD_SPEC,
     SELECTION_ABLATION_SPEC,
-    run_constants_ablation,
-    run_hff_threshold_ablation,
-    run_selection_ablation,
 )
-from .cloud_gaming import CLOUD_GAMING_SPEC, run_cloud_gaming
-from .comparison import BOUNDS_TABLE_SPEC, run_bounds_table, suite_instances
-from .defrag_exp import DEFRAG_SPEC, run_defrag_budget
-from .deferral_exp import DEFERRAL_SPEC, run_deferral
-from .fleet_exp import FLEET_SPEC, run_fleet_comparison
-from .figures import (
-    FIGURE_SPECS,
-    FigureOutput,
-    figure1_instance,
-    figure1_span,
-    figure2_usage_periods,
-    figure3_subperiods,
-    figure4_supplier,
-    figures56_nonintersection,
-)
+from .cloud_gaming import CLOUD_GAMING_SPEC
+from .comparison import BOUNDS_TABLE_SPEC, suite_instances
+from .defrag_exp import DEFRAG_SPEC
+from .deferral_exp import DEFERRAL_SPEC
+from .fleet_exp import FLEET_SPEC
+from .figures import FIGURE_SPECS, FigureOutput, figure1_instance
 from .harness import ExperimentResult, RatioMeasurement, format_table, measure_ratio
-from .exploration import WORST_CASE_SPEC, run_worst_case_search
-from .information import INFORMATION_SPEC, run_information_price
-from .lower_bounds import (
-    BESTFIT_STAIRCASE_SPEC,
-    UNIVERSAL_LB_SPEC,
-    run_bestfit_staircase,
-    run_universal_lower_bound,
-)
-from .migration_exp import MIGRATION_SPEC, run_migration_budget
-from .montecarlo import EXPECTED_RATIO_SPEC, bootstrap_ci, run_expected_ratio
-from .multidim_exp import MULTIDIM_SPEC, run_multidim
-from .nextfit import NEXTFIT_LB_SPEC, run_nextfit_lower_bound
-from .predictions_exp import PREDICTIONS_SPEC, run_predictions
+from .exploration import WORST_CASE_SPEC
+from .information import INFORMATION_SPEC
+from .lower_bounds import BESTFIT_STAIRCASE_SPEC, UNIVERSAL_LB_SPEC
+from .migration_exp import MIGRATION_SPEC
+from .montecarlo import EXPECTED_RATIO_SPEC, bootstrap_ci
+from .multidim_exp import MULTIDIM_SPEC
+from .nextfit import NEXTFIT_LB_SPEC
+from .predictions_exp import PREDICTIONS_SPEC
 from .report import generate_report, run_all_experiments
-from .retention_exp import RETENTION_SPEC, run_retention
+from .retention_exp import RETENTION_SPEC
 from .runner import ExperimentRunner, ResultCache, RunSummary, run_spec
 from .spec import ExperimentSpec, ParamSpec
-from .theorem1 import THEOREM1_SPEC, run_theorem1
-from .traces_exp import TRACES_SPEC, run_trace_benchmark
+from .theorem1 import THEOREM1_SPEC
+from .traces_exp import TRACES_SPEC
 
 #: id → spec, in the natural DESIGN.md experiment-index order
 #: (figures, then theorem tables, then extensions).
@@ -90,43 +78,8 @@ SPEC_REGISTRY: dict[str, ExperimentSpec] = {
 #: would interleave X1, X10, X11, X2a, …)
 EXPERIMENT_ORDER: tuple[str, ...] = tuple(SPEC_REGISTRY)
 
-#: id → back-compat runnable, mirroring the DESIGN.md experiment index.
-EXPERIMENT_REGISTRY = {
-    "F1": figure1_span,
-    "F2": figure2_usage_periods,
-    "F3": figure3_subperiods,
-    "F4": figure4_supplier,
-    "F5-F6": figures56_nonintersection,
-    "T1": run_theorem1,
-    "T2": run_nextfit_lower_bound,
-    "T3": run_universal_lower_bound,
-    "T4": run_bestfit_staircase,
-    "T5": run_bounds_table,
-    "T6": run_cloud_gaming,
-    "T7": run_fleet_comparison,
-    "T8": run_retention,
-    "X1": run_multidim,
-    "X2a": run_selection_ablation,
-    "X2b": run_hff_threshold_ablation,
-    "X2c": run_constants_ablation,
-    "X3": run_information_price,
-    "X4": run_adaptive_adversary,
-    "X5": run_worst_case_search,
-    "X6": run_augmentation,
-    "X7": run_expected_ratio,
-    "X8": run_predictions,
-    "X9": run_deferral,
-    "X10": run_migration_budget,
-    "X11": run_cost_anatomy,
-    "X12": run_trace_benchmark,
-    "X13": run_defrag_budget,
-}
-
-assert set(EXPERIMENT_REGISTRY) == set(SPEC_REGISTRY), "registries diverged"
-
 __all__ = [
     "EXPERIMENT_ORDER",
-    "EXPERIMENT_REGISTRY",
     "SPEC_REGISTRY",
     "ExperimentResult",
     "ExperimentRunner",
@@ -137,39 +90,11 @@ __all__ = [
     "ResultCache",
     "RunSummary",
     "figure1_instance",
-    "figure1_span",
-    "figure2_usage_periods",
-    "figure3_subperiods",
-    "figure4_supplier",
-    "figures56_nonintersection",
     "format_table",
     "measure_ratio",
-    "run_bestfit_staircase",
-    "run_bounds_table",
-    "run_cloud_gaming",
-    "run_fleet_comparison",
-    "run_constants_ablation",
-    "run_hff_threshold_ablation",
-    "run_multidim",
-    "run_nextfit_lower_bound",
-    "run_predictions",
-    "run_retention",
-    "run_deferral",
-    "run_defrag_budget",
-    "run_migration_budget",
-    "run_cost_anatomy",
-    "run_adaptive_adversary",
-    "run_augmentation",
-    "run_expected_ratio",
     "run_spec",
     "bootstrap_ci",
     "generate_report",
     "run_all_experiments",
-    "run_information_price",
-    "run_selection_ablation",
-    "run_theorem1",
-    "run_trace_benchmark",
-    "run_universal_lower_bound",
-    "run_worst_case_search",
     "suite_instances",
 ]

@@ -30,16 +30,12 @@ from ..opt.opt_total import opt_total
 from ..workloads.random_workloads import batch_workload, poisson_workload
 from .comparison import suite_instances
 from .harness import ExperimentResult, measure_ratio
-from .runner import run_spec
 from .spec import simple_spec
 
 __all__ = [
     "CONSTANTS_ABLATION_SPEC",
     "HFF_THRESHOLD_SPEC",
     "SELECTION_ABLATION_SPEC",
-    "run_constants_ablation",
-    "run_hff_threshold_ablation",
-    "run_selection_ablation",
 ]
 
 
@@ -183,27 +179,3 @@ CONSTANTS_ABLATION_SPEC = simple_spec(
     _constants_ablation,
     smoke=dict(seeds=(0, 1, 2, 3), n=40),
 )
-
-
-def run_selection_ablation(**overrides) -> ExperimentResult:
-    """X2a: Any-Fit selection rules over the standard suite.
-
-    Back-compat wrapper: runs the X2a spec through the serial runner.
-    """
-    return run_spec(SELECTION_ABLATION_SPEC, overrides)
-
-
-def run_hff_threshold_ablation(**overrides) -> ExperimentResult:
-    """X2b: Hybrid First Fit threshold sweep.
-
-    Back-compat wrapper: runs the X2b spec through the serial runner.
-    """
-    return run_spec(HFF_THRESHOLD_SPEC, overrides)
-
-
-def run_constants_ablation(**overrides) -> ExperimentResult:
-    """X2c: Lemma 2 holds under (µ, µ+1), fails under neighbours.
-
-    Back-compat wrapper: runs the X2c spec through the serial runner.
-    """
-    return run_spec(CONSTANTS_ABLATION_SPEC, overrides)

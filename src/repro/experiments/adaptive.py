@@ -17,10 +17,9 @@ from ..adversary.strategies import KeepAliveAdversary
 from ..algorithms import ALGORITHM_REGISTRY, make_algorithm
 from ..opt.opt_total import opt_total
 from .harness import ExperimentResult
-from .runner import run_spec
 from .spec import simple_spec
 
-__all__ = ["ADAPTIVE_SPEC", "run_adaptive_adversary"]
+__all__ = ["ADAPTIVE_SPEC"]
 
 DEFAULT_TARGETS = (
     "first-fit",
@@ -77,11 +76,3 @@ ADAPTIVE_SPEC = simple_spec(
     _adaptive_adversary,
     smoke=dict(waves=2, k=3, bins_per_wave=2, mus=(4.0,), node_budget=30_000),
 )
-
-
-def run_adaptive_adversary(**overrides) -> ExperimentResult:
-    """Play the keep-alive game against each policy and measure ratios.
-
-    Back-compat wrapper: runs the X4 spec through the serial runner.
-    """
-    return run_spec(ADAPTIVE_SPEC, overrides)

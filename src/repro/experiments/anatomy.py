@@ -27,10 +27,9 @@ from ..workloads.gaming import gaming_workload
 from ..workloads.mmpp import mmpp_workload
 from ..workloads.random_workloads import batch_workload, poisson_workload
 from .harness import ExperimentResult
-from .runner import run_spec
 from .spec import simple_spec
 
-__all__ = ["ANATOMY_SPEC", "run_cost_anatomy"]
+__all__ = ["ANATOMY_SPEC"]
 
 
 def _cost_anatomy(node_budget: int = 80_000) -> ExperimentResult:
@@ -81,11 +80,3 @@ ANATOMY_SPEC = simple_spec(
     _cost_anatomy,
     smoke=dict(node_budget=10_000),
 )
-
-
-def run_cost_anatomy(**overrides) -> ExperimentResult:
-    """span / V(h) / V(l) shares of FF cost across workload families.
-
-    Back-compat wrapper: runs the X11 spec through the serial runner.
-    """
-    return run_spec(ANATOMY_SPEC, overrides)

@@ -14,10 +14,9 @@ from ..opt.opt_total import opt_total
 from ..workloads.adversarial import next_fit_lower_bound, universal_lower_bound
 from ..workloads.random_workloads import poisson_workload
 from .harness import ExperimentResult
-from .runner import run_spec
 from .spec import simple_spec
 
-__all__ = ["AUGMENTATION_SPEC", "run_augmentation"]
+__all__ = ["AUGMENTATION_SPEC"]
 
 
 def _augmentation(
@@ -64,11 +63,3 @@ AUGMENTATION_SPEC = simple_spec(
     _augmentation,
     smoke=dict(epsilons=(0.0, 0.5), n=8, mu=4.0, node_budget=20_000),
 )
-
-
-def run_augmentation(**overrides) -> ExperimentResult:
-    """ε sweep on the two gadgets and a random workload.
-
-    Back-compat wrapper: runs the X6 spec through the serial runner.
-    """
-    return run_spec(AUGMENTATION_SPEC, overrides)

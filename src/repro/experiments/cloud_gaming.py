@@ -13,10 +13,9 @@ from __future__ import annotations
 from ..cloud.billing import ContinuousBilling, HourlyBilling
 from ..cloud.gaming_service import GamingScenario, run_gaming_comparison
 from .harness import ExperimentResult
-from .runner import run_spec
 from .spec import simple_spec
 
-__all__ = ["CLOUD_GAMING_SPEC", "run_cloud_gaming"]
+__all__ = ["CLOUD_GAMING_SPEC"]
 
 
 def _cloud_gaming(
@@ -69,11 +68,3 @@ CLOUD_GAMING_SPEC = simple_spec(
     _cloud_gaming,
     smoke=dict(num_sessions=40, rates=(2.0,)),
 )
-
-
-def run_cloud_gaming(**overrides) -> ExperimentResult:
-    """Sweep load level × billing model for all candidate policies.
-
-    Back-compat wrapper: runs the T6 spec through the serial runner.
-    """
-    return run_spec(CLOUD_GAMING_SPEC, overrides)

@@ -21,10 +21,9 @@ from ..workloads.adversarial import (
 )
 from ..workloads.random_workloads import batch_workload, poisson_workload
 from .harness import ExperimentResult, measure_ratio
-from .runner import run_spec
 from .spec import ExperimentSpec, params_from_signature
 
-__all__ = ["BOUNDS_TABLE_SPEC", "run_bounds_table", "suite_instances"]
+__all__ = ["BOUNDS_TABLE_SPEC", "suite_instances"]
 
 DEFAULT_ALGOS = (
     "first-fit",
@@ -127,14 +126,3 @@ BOUNDS_TABLE_SPEC = ExperimentSpec(
     merge=_bounds_table_merge,
     module=__name__,
 )
-
-
-def run_bounds_table(workers: int | None = None, **overrides) -> ExperimentResult:
-    """Measured worst ratios next to the analytic bounds at one µ.
-
-    Back-compat wrapper over the T5 spec: the per-instance OPT brackets
-    dominate the runtime, so the spec shards one task per suite
-    instance and ``workers`` spreads them over processes (serial by
-    default, ``-1`` = one per CPU).
-    """
-    return run_spec(BOUNDS_TABLE_SPEC, overrides, workers=workers)

@@ -14,10 +14,9 @@ from ..core.packing import run_packing
 from ..deferral.engine import run_deferred_first_fit
 from ..workloads.gaming import gaming_workload
 from .harness import ExperimentResult
-from .runner import run_spec
 from .spec import simple_spec
 
-__all__ = ["DEFERRAL_SPEC", "run_deferral"]
+__all__ = ["DEFERRAL_SPEC"]
 
 
 def _deferral(
@@ -60,11 +59,3 @@ DEFERRAL_SPEC = simple_spec(
     _deferral,
     smoke=dict(delays=(0.0, 0.5), num_sessions=60, request_rate=4.0),
 )
-
-
-def run_deferral(**overrides) -> ExperimentResult:
-    """Patience sweep on one gaming stream.
-
-    Back-compat wrapper: runs the X9 spec through the serial runner.
-    """
-    return run_spec(DEFERRAL_SPEC, overrides)

@@ -26,10 +26,9 @@ from ..workloads.adversarial import next_fit_lower_bound, universal_lower_bound
 from ..workloads.gaming import gaming_workload
 from ..workloads.random_workloads import poisson_workload
 from .harness import ExperimentResult, measure_ratio
-from .runner import run_spec
 from .spec import simple_spec
 
-__all__ = ["DEFRAG_SPEC", "run_defrag_budget"]
+__all__ = ["DEFRAG_SPEC"]
 
 #: chart width in characters for the ratio bars
 _BAR_WIDTH = 36
@@ -122,11 +121,3 @@ DEFRAG_SPEC = simple_spec(
     _defrag_budget,
     smoke=dict(node_budget=20_000, budgets=(0, 2, 4)),
 )
-
-
-def run_defrag_budget(**overrides) -> ExperimentResult:
-    """Budget sweep for online bounded-migration repacking (X13).
-
-    Back-compat wrapper: runs the X13 spec through the serial runner.
-    """
-    return run_spec(DEFRAG_SPEC, overrides)

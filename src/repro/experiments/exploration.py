@@ -16,10 +16,9 @@ from ..algorithms import make_algorithm
 from ..workloads.adversarial import universal_lower_bound
 from ..workloads.random_workloads import poisson_workload
 from .harness import ExperimentResult
-from .runner import run_spec
 from .spec import simple_spec
 
-__all__ = ["WORST_CASE_SPEC", "run_worst_case_search"]
+__all__ = ["WORST_CASE_SPEC"]
 
 
 def _worst_case_search(
@@ -83,11 +82,3 @@ WORST_CASE_SPEC = simple_spec(
     _worst_case_search,
     smoke=dict(mu=3.0, iterations=10, targets=("first-fit",), seeds=(0,)),
 )
-
-
-def run_worst_case_search(**overrides) -> ExperimentResult:
-    """Explore from a random seed and from the universal gadget.
-
-    Back-compat wrapper: runs the X5 spec through the serial runner.
-    """
-    return run_spec(WORST_CASE_SPEC, overrides)

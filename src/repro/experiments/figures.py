@@ -24,17 +24,11 @@ from ..viz.timeline import (
     render_usage_decomposition,
 )
 from ..workloads.random_workloads import poisson_workload
-from .runner import run_spec
 from .spec import simple_spec
 
 __all__ = [
     "FIGURE_SPECS",
     "figure1_instance",
-    "figure1_span",
-    "figure2_usage_periods",
-    "figure3_subperiods",
-    "figure4_supplier",
-    "figures56_nonintersection",
     "FigureOutput",
 ]
 
@@ -190,28 +184,3 @@ F56_SPEC = simple_spec(
 
 #: the five figure specs in DESIGN.md order
 FIGURE_SPECS = (F1_SPEC, F2_SPEC, F3_SPEC, F4_SPEC, F56_SPEC)
-
-
-def figure1_span(**overrides) -> FigureOutput:
-    """F1: items and their span (back-compat wrapper over the F1 spec)."""
-    return run_spec(F1_SPEC, overrides)
-
-
-def figure2_usage_periods(**overrides) -> FigureOutput:
-    """F2: the U/V/W/E decomposition on a four-bin First Fit run."""
-    return run_spec(F2_SPEC, overrides)
-
-
-def figure3_subperiods(**overrides) -> FigureOutput:
-    """F3: small-item selection and l/h-subperiod split."""
-    return run_spec(F3_SPEC, overrides)
-
-
-def figure4_supplier(**overrides) -> FigureOutput:
-    """F4: supplier bins, pairing/consolidation and supplier periods."""
-    return run_spec(F4_SPEC, overrides)
-
-
-def figures56_nonintersection(**overrides) -> FigureOutput:
-    """F5/F6: Lemma 2 (supplier periods never intersect) across instances."""
-    return run_spec(F56_SPEC, overrides)

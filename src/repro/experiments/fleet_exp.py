@@ -19,10 +19,9 @@ from ..cloud.fleet import (
 from ..cloud.server import InstanceType
 from ..workloads.gaming import gaming_workload
 from .harness import ExperimentResult
-from .runner import run_spec
 from .spec import simple_spec
 
-__all__ = ["FLEET_SPEC", "run_fleet_comparison"]
+__all__ = ["FLEET_SPEC"]
 
 
 def _fleet_comparison(
@@ -75,11 +74,3 @@ FLEET_SPEC = simple_spec(
     _fleet_comparison,
     smoke=dict(num_sessions=60, rates=(4.0,)),
 )
-
-
-def run_fleet_comparison(**overrides) -> ExperimentResult:
-    """Launch-policy × load sweep, homogeneous baseline included.
-
-    Back-compat wrapper: runs the T7 spec through the serial runner.
-    """
-    return run_spec(FLEET_SPEC, overrides)

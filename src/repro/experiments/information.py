@@ -21,10 +21,9 @@ from ..offline.solvers import exact_offline, greedy_offline, local_search
 from ..opt.opt_total import opt_total
 from ..workloads.random_workloads import poisson_workload
 from .harness import ExperimentResult
-from .runner import run_spec
 from .spec import simple_spec
 
-__all__ = ["INFORMATION_SPEC", "run_information_price"]
+__all__ = ["INFORMATION_SPEC"]
 
 
 def _information_price(
@@ -89,11 +88,3 @@ INFORMATION_SPEC = simple_spec(
     _information_price,
     smoke=dict(n=8, seeds=(0,), node_budget=100_000),
 )
-
-
-def run_information_price(**overrides) -> ExperimentResult:
-    """Compare the three models on small exactly-solvable instances.
-
-    Back-compat wrapper: runs the X3 spec through the serial runner.
-    """
-    return run_spec(INFORMATION_SPEC, overrides)

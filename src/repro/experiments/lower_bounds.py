@@ -1,10 +1,10 @@
 """Experiments T3/T4: the cited lower-bound constructions.
 
-- **T3** (:func:`run_universal_lower_bound`): the blocker/filler gadget
+- **T3** (``UNIVERSAL_LB_SPEC``): the blocker/filler gadget
   behind the universal µ lower bound — *every* algorithm, Any Fit or
   not, pays ≈ nµ against OPT ≈ n + µ, so all measured ratios coincide
   and approach µ.
-- **T4** (:func:`run_bestfit_staircase`): the staircase gadget that
+- **T4** (``BESTFIT_STAIRCASE_SPEC``): the staircase gadget that
   separates Best Fit from First Fit: BF scatters the long fillers over
   Θ(√n) bins while FF consolidates them into one, exhibiting the
   Best-Fit-specific failure mode behind the cited "Best Fit unbounded"
@@ -17,14 +17,11 @@ from ..algorithms import BestFit, FirstFit, LastFit, NextFit, WorstFit
 from ..opt.opt_total import opt_total
 from ..workloads.adversarial import best_fit_staircase, universal_lower_bound
 from .harness import ExperimentResult, measure_ratio
-from .runner import run_spec
 from .spec import simple_spec
 
 __all__ = [
     "BESTFIT_STAIRCASE_SPEC",
     "UNIVERSAL_LB_SPEC",
-    "run_bestfit_staircase",
-    "run_universal_lower_bound",
 ]
 
 
@@ -118,19 +115,3 @@ BESTFIT_STAIRCASE_SPEC = simple_spec(
     _bestfit_staircase,
     smoke=dict(ns=(12,), mus=(4.0,), node_budget=10_000),
 )
-
-
-def run_universal_lower_bound(**overrides) -> ExperimentResult:
-    """T3: every algorithm forced to the same ≈ µ·n/(n+µ) ratio.
-
-    Back-compat wrapper: runs the T3 spec through the serial runner.
-    """
-    return run_spec(UNIVERSAL_LB_SPEC, overrides)
-
-
-def run_bestfit_staircase(**overrides) -> ExperimentResult:
-    """T4: Best Fit scatters, First Fit consolidates.
-
-    Back-compat wrapper: runs the T4 spec through the serial runner.
-    """
-    return run_spec(BESTFIT_STAIRCASE_SPEC, overrides)

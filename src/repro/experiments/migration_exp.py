@@ -20,10 +20,9 @@ from ..workloads.adversarial import next_fit_lower_bound, universal_lower_bound
 from ..workloads.gaming import gaming_workload
 from ..workloads.random_workloads import poisson_workload
 from .harness import ExperimentResult
-from .runner import run_spec
 from .spec import simple_spec
 
-__all__ = ["MIGRATION_SPEC", "run_migration_budget"]
+__all__ = ["MIGRATION_SPEC"]
 
 
 def _migration_budget(node_budget: int = 100_000) -> ExperimentResult:
@@ -73,11 +72,3 @@ MIGRATION_SPEC = simple_spec(
     _migration_budget,
     smoke=dict(node_budget=20_000),
 )
-
-
-def run_migration_budget(**overrides) -> ExperimentResult:
-    """Repacking trajectory + migration counts across instance families.
-
-    Back-compat wrapper: runs the X10 spec through the serial runner.
-    """
-    return run_spec(MIGRATION_SPEC, overrides)

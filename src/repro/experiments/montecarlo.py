@@ -18,10 +18,9 @@ from ..core.packing import run_packing
 from ..opt.opt_total import opt_total
 from ..workloads.random_workloads import poisson_workload
 from .harness import ExperimentResult
-from .runner import run_spec
 from .spec import ExperimentSpec, params_from_signature
 
-__all__ = ["EXPECTED_RATIO_SPEC", "run_expected_ratio", "bootstrap_ci"]
+__all__ = ["EXPECTED_RATIO_SPEC", "bootstrap_ci"]
 
 
 def _replication_ratios(
@@ -138,14 +137,3 @@ EXPECTED_RATIO_SPEC = ExperimentSpec(
     merge=_expected_ratio_merge,
     module=__name__,
 )
-
-
-def run_expected_ratio(workers: int | None = None, **overrides) -> ExperimentResult:
-    """Load × µ sweep of mean ratios with bootstrap 95% CIs.
-
-    Back-compat wrapper over the X7 spec: each (µ, load, replication)
-    cell — instance generation, the OPT bracket, and all algorithm runs
-    — is one shard; ``workers`` spreads the shards over processes
-    (serial by default, ``-1`` = all cores).
-    """
-    return run_spec(EXPECTED_RATIO_SPEC, overrides, workers=workers)

@@ -14,8 +14,6 @@ task order, producing the exact rows of the serial run.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..multidim import (
     VECTOR_REGISTRY,
     correlated_vector_workload,
@@ -24,10 +22,9 @@ from ..multidim import (
     vector_workload,
 )
 from .harness import ExperimentResult
-from .runner import run_spec
 from .spec import ExperimentSpec, params_from_signature
 
-__all__ = ["MULTIDIM_SPEC", "run_multidim"]
+__all__ = ["MULTIDIM_SPEC"]
 
 
 def _run_cell(task: tuple[str, float, str, int, int]) -> float:
@@ -121,13 +118,3 @@ MULTIDIM_SPEC = ExperimentSpec(
     merge=_multidim_merge,
     module=__name__,
 )
-
-
-def run_multidim(workers: Optional[int] = None, **overrides) -> ExperimentResult:
-    """Dimension sweep + correlation sweep for vector policies.
-
-    Back-compat wrapper over the X1 spec; ``workers`` fans the grid
-    cells across CPUs with rows merged in task order, producing the
-    exact rows of the serial run.
-    """
-    return run_spec(MULTIDIM_SPEC, overrides, workers=workers)

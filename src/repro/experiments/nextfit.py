@@ -15,10 +15,9 @@ from ..algorithms.next_fit import NextFit
 from ..opt.opt_total import opt_total
 from ..workloads.adversarial import next_fit_lower_bound
 from .harness import ExperimentResult, measure_ratio
-from .runner import run_spec
 from .spec import simple_spec
 
-__all__ = ["NEXTFIT_LB_SPEC", "run_nextfit_lower_bound"]
+__all__ = ["NEXTFIT_LB_SPEC"]
 
 
 def _nextfit_lower_bound(
@@ -64,11 +63,3 @@ NEXTFIT_LB_SPEC = simple_spec(
     _nextfit_lower_bound,
     smoke=dict(ns=(4, 8), mus=(2.0,), node_budget=10_000),
 )
-
-
-def run_nextfit_lower_bound(**overrides) -> ExperimentResult:
-    """Sweep the §VIII construction over n and µ.
-
-    Back-compat wrapper: runs the T2 spec through the serial runner.
-    """
-    return run_spec(NEXTFIT_LB_SPEC, overrides)

@@ -20,10 +20,9 @@ from ..core.packing import run_packing
 from ..opt.opt_total import opt_total
 from ..workloads.random_workloads import poisson_workload
 from .harness import ExperimentResult
-from .runner import run_spec
 from .spec import simple_spec
 
-__all__ = ["PREDICTIONS_SPEC", "run_predictions"]
+__all__ = ["PREDICTIONS_SPEC"]
 
 
 def _predictions(
@@ -79,11 +78,3 @@ PREDICTIONS_SPEC = simple_spec(
     _predictions,
     smoke=dict(sigmas=(0.0, 1.0), n=30, replications=2, node_budget=10_000),
 )
-
-
-def run_predictions(**overrides) -> ExperimentResult:
-    """Noise sweep; First Fit and the oracle as anchors.
-
-    Back-compat wrapper: runs the X8 spec through the serial runner.
-    """
-    return run_spec(PREDICTIONS_SPEC, overrides)

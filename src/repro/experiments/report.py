@@ -3,7 +3,7 @@
 Used by ``repro report`` and by the release process: a single command
 regenerates every figure and table and writes a markdown document whose
 sections follow the natural DESIGN.md experiment index (F1…F5-F6,
-T1…T8, X1…X11 — not lexicographic order).
+T1…T8, X1…X13 — not lexicographic order).
 
 Built on the experiment framework (:mod:`repro.experiments.runner`):
 
@@ -49,33 +49,14 @@ def run_all_experiments(
     cache_dir: Optional[str | Path] = None,
     resume: bool = False,
     profile: Optional[str] = None,
-) -> dict[str, object]:
-    """Run every registered experiment (or a subset) and collect results.
-
-    Results are keyed by experiment id in natural index order; see
-    :func:`run_all_experiments_summary` for the cache-hit accounting.
-    """
-    return run_all_experiments_summary(
-        only=only,
-        progress=progress,
-        workers=workers,
-        cache_dir=cache_dir,
-        resume=resume,
-        profile=profile,
-    ).results()
-
-
-def run_all_experiments_summary(
-    only: Optional[tuple[str, ...]] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    workers: Optional[int] = None,
-    cache_dir: Optional[str | Path] = None,
-    resume: bool = False,
-    profile: Optional[str] = None,
 ) -> RunSummary:
-    """:func:`run_all_experiments`, returning the full runner summary."""
+    """Run every registered experiment (or a subset) as one runner batch.
+
+    The summary's records, and ``.results()``, follow natural index
+    order; ``cache_hits`` counts what was served from ``cache_dir``.
+    """
     # imported here to avoid a cycle with the package __init__, which
-    # defines the registries after importing the experiment modules
+    # defines the registry after importing the experiment modules
     from . import SPEC_REGISTRY
 
     runner = ExperimentRunner(
@@ -113,32 +94,12 @@ def generate_report(
     resume: bool = False,
     profile: Optional[str] = None,
     stamp: Optional[str] = None,
-) -> Path:
-    """Run experiments and write the consolidated markdown report."""
-    return generate_report_summary(
-        path,
-        only=only,
-        progress=progress,
-        workers=workers,
-        cache_dir=cache_dir,
-        resume=resume,
-        profile=profile,
-        stamp=stamp,
-    )[0]
-
-
-def generate_report_summary(
-    path: str | Path,
-    only: Optional[tuple[str, ...]] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    workers: Optional[int] = None,
-    cache_dir: Optional[str | Path] = None,
-    resume: bool = False,
-    profile: Optional[str] = None,
-    stamp: Optional[str] = None,
 ) -> tuple[Path, RunSummary]:
-    """:func:`generate_report`, also returning the runner summary."""
-    summary = run_all_experiments_summary(
+    """Run experiments and write the consolidated markdown report.
+
+    Returns the written path and the runner summary.
+    """
+    summary = run_all_experiments(
         only=only,
         progress=progress,
         workers=workers,

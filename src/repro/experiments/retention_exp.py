@@ -23,10 +23,9 @@ from ..cloud.retention import (
 )
 from ..workloads.gaming import gaming_workload
 from .harness import ExperimentResult
-from .runner import run_spec
 from .spec import simple_spec
 
-__all__ = ["RETENTION_SPEC", "run_retention"]
+__all__ = ["RETENTION_SPEC"]
 
 
 def _retention(
@@ -87,11 +86,3 @@ RETENTION_SPEC = simple_spec(
     _retention,
     smoke=dict(num_sessions=60, rates=(2.0,)),
 )
-
-
-def run_retention(**overrides) -> ExperimentResult:
-    """Retention-policy × billing × load sweep on the gaming workload.
-
-    Back-compat wrapper: runs the T8 spec through the serial runner.
-    """
-    return run_spec(RETENTION_SPEC, overrides)

@@ -5,7 +5,7 @@ through :func:`repro.parallel.parallel_map`:
 
 - **Sharding** — the tasks of *every requested experiment* are
   flattened into one list and fanned across worker processes together,
-  so 26 mostly-single-task experiments still saturate a multi-core box;
+  so 28 mostly-single-task experiments still saturate a multi-core box;
   shard results are merged back per experiment in task order, making
   every output worker-count independent.
 - **Caching** — a merged result is serialized to a JSON artifact whose
@@ -225,8 +225,7 @@ class ExperimentRunner:
     """Drive specs through ``parallel_map`` with caching and resume.
 
     ``progress`` is called with each experiment id as its record is
-    opened (cache hits included), mirroring the historical
-    ``generate_report`` callback contract.
+    opened (cache hits included).
     """
 
     def __init__(
@@ -240,16 +239,6 @@ class ExperimentRunner:
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.resume = resume
         self.progress = progress
-
-    def run(
-        self,
-        spec: ExperimentSpec,
-        overrides: Optional[Mapping[str, Any]] = None,
-        profile: Optional[str] = None,
-    ) -> Any:
-        """Run one spec; the merged result."""
-        summary = self.run_many([(spec, overrides)], profile=profile)
-        return summary.records[0].result
 
     def run_many(
         self,
@@ -342,10 +331,11 @@ def run_spec(
     workers: Optional[int] = None,
     profile: Optional[str] = None,
 ) -> Any:
-    """One-shot uncached run — the back-compat ``run_*`` wrapper path.
+    """One experiment, uncached: the merged result of ``spec``.
 
-    Serial by default, byte-identical to the historical direct call;
-    ``workers`` shards multi-task specs exactly as their old
-    ``workers=`` keyword did.
+    ``overrides`` replace the (``profile``) defaults by name.  Serial by
+    default; ``workers`` fans a multi-task spec's shards across
+    processes, with the same output.
     """
-    return ExperimentRunner(workers=workers).run(spec, overrides, profile=profile)
+    runner = ExperimentRunner(workers=workers)
+    return runner.run_many([(spec, overrides)], profile=profile).records[0].result

@@ -123,10 +123,6 @@ class ExperimentSpec:
             resolved[name] = value
         return resolved
 
-    def run(self, params: dict[str, Any]) -> Any:
-        """Serial reference path: tasks → run_task → ordered merge."""
-        return self.merge(params, [self.run_task(t) for t in self.tasks(params)])
-
 
 def params_from_signature(
     fn: Callable[..., Any],

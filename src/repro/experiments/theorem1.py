@@ -15,10 +15,9 @@ from ..opt.opt_total import opt_total
 from ..workloads.adversarial import universal_lower_bound
 from ..workloads.random_workloads import poisson_workload
 from .harness import ExperimentResult, measure_ratio
-from .runner import run_spec
 from .spec import simple_spec
 
-__all__ = ["THEOREM1_SPEC", "run_theorem1"]
+__all__ = ["THEOREM1_SPEC"]
 
 
 def _theorem1(
@@ -82,8 +81,3 @@ THEOREM1_SPEC = simple_spec(
         node_budget=10_000,
     ),
 )
-
-
-def run_theorem1(**overrides) -> ExperimentResult:
-    """Measure the FF ratio against µ+4 across µ and workload families."""
-    return run_spec(THEOREM1_SPEC, overrides)

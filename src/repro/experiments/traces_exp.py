@@ -31,10 +31,9 @@ from ..algorithms import DurationClassifiedFirstFit, make_algorithm
 from ..core.packing import run_packing
 from ..traces import generate_trace, load_items, normalize_items
 from .harness import ExperimentResult
-from .runner import run_spec
 from .spec import simple_spec
 
-__all__ = ["TRACES_SPEC", "run_trace_benchmark"]
+__all__ = ["TRACES_SPEC"]
 
 #: non-clairvoyant registry policies worth running on trace demand
 _BASELINES = ("first-fit", "best-fit", "worst-fit", "next-fit")
@@ -122,11 +121,3 @@ TRACES_SPEC = simple_spec(
     _trace_benchmark,
     smoke=dict(n=300),
 )
-
-
-def run_trace_benchmark(**overrides) -> ExperimentResult:
-    """Algorithm registry + duration-classified FF over generated traces.
-
-    Back-compat wrapper: runs the X12 spec through the serial runner.
-    """
-    return run_spec(TRACES_SPEC, overrides)

@@ -4,7 +4,7 @@ Covers the refactor's equivalence guarantees:
 
 - golden tests pin the rendered output of representative experiments to
   their pre-refactor captures, byte for byte, through the spec runner,
-- the registry smoke suite runs all 27 specs under ``profile="smoke"``
+- the registry smoke suite runs all 28 specs under ``profile="smoke"``
   and round-trips every result through the JSON artifact format,
 - the cache serves a second run entirely from artifacts,
 - the report order follows the natural DESIGN.md index, and
@@ -20,11 +20,11 @@ import pytest
 
 from repro.experiments import (
     EXPERIMENT_ORDER,
-    EXPERIMENT_REGISTRY,
     SPEC_REGISTRY,
     ExperimentRunner,
     FigureOutput,
     ResultCache,
+    run_spec,
 )
 from repro.experiments.runner import (
     artifact_document,
@@ -67,16 +67,15 @@ class TestGoldenEquivalence:
     """The refactored runner reproduces pre-refactor outputs exactly."""
 
     @pytest.mark.parametrize("eid", sorted(GOLDEN_CONFIGS))
-    def test_wrapper_matches_golden(self, eid):
+    def test_serial_run_matches_golden(self, eid):
         golden = (GOLDEN_DIR / f"{eid}.txt").read_text()
-        result = EXPERIMENT_REGISTRY[eid](**GOLDEN_CONFIGS[eid])
+        result = run_spec(SPEC_REGISTRY[eid], GOLDEN_CONFIGS[eid])
         assert _rendered(result) + "\n" == golden
 
     @pytest.mark.parametrize("eid", ["T5", "X1"])
     def test_sharded_run_matches_golden(self, eid):
         golden = (GOLDEN_DIR / f"{eid}.txt").read_text()
-        runner = ExperimentRunner(workers=2)
-        result = runner.run(SPEC_REGISTRY[eid], GOLDEN_CONFIGS[eid])
+        result = run_spec(SPEC_REGISTRY[eid], GOLDEN_CONFIGS[eid], workers=2)
         assert _rendered(result) + "\n" == golden
 
 
@@ -87,7 +86,7 @@ class TestRegistrySmoke:
     def test_smoke_run_and_json_round_trip(self, eid):
         spec = SPEC_REGISTRY[eid]
         params = spec.resolve(profile="smoke")
-        result = spec.run(params)
+        result = run_spec(spec, params)
         rendered = _rendered(result)
         assert rendered.strip()
         # serialize → through real JSON text → deserialize → re-render
@@ -96,7 +95,6 @@ class TestRegistrySmoke:
         assert _rendered(restored) == rendered
 
     def test_registries_agree(self):
-        assert set(EXPERIMENT_REGISTRY) == set(SPEC_REGISTRY)
         for eid, spec in SPEC_REGISTRY.items():
             assert spec.id == eid
 
@@ -118,7 +116,7 @@ class TestNaturalOrder:
         # pass ids out of order; results must come back in index order
         results = run_all_experiments(
             only=("X1", "T1", "F5-F6"), profile="smoke"
-        )
+        ).results()
         assert list(results) == ["F5-F6", "T1", "X1"]
 
     def test_unknown_id_rejected(self):
@@ -148,7 +146,7 @@ class TestResultCache:
     def test_param_change_misses_cache(self, tmp_path):
         spec = SPEC_REGISTRY["F5-F6"]
         runner = ExperimentRunner(cache_dir=tmp_path, resume=True)
-        runner.run(spec, {"seeds": (0,), "n": 30})
+        runner.run_many([(spec, {"seeds": (0,), "n": 30})])
         summary = runner.run_many(
             [(spec, {"seeds": (0, 1), "n": 30})]
         )
@@ -158,14 +156,14 @@ class TestResultCache:
         spec = SPEC_REGISTRY["F1"]
         cache = ResultCache(tmp_path)
         params = spec.resolve(profile="smoke")
-        path = cache.store(spec, params, spec.run(params))
+        path = cache.store(spec, params, run_spec(spec, params))
         path.write_text("{not json")
         assert cache.load(spec, params) is None
 
     def test_artifact_document_provenance(self, tmp_path):
         spec = SPEC_REGISTRY["F1"]
         params = spec.resolve()
-        doc = artifact_document(spec, params, spec.run(params))
+        doc = artifact_document(spec, params, run_spec(spec, params))
         assert doc["experiment"] == "F1"
         assert doc["fingerprint"] == code_fingerprint()
         assert doc["module"] == spec.module
@@ -180,8 +178,8 @@ class TestReportDeterminism:
         kwargs = dict(
             only=("F1", "F5-F6"), profile="smoke", stamp="2026-01-01 00:00:00"
         )
-        a = generate_report(tmp_path / "a.md", **kwargs)
-        b = generate_report(tmp_path / "b.md", **kwargs)
+        a, _ = generate_report(tmp_path / "a.md", **kwargs)
+        b, _ = generate_report(tmp_path / "b.md", **kwargs)
         assert a.read_bytes() == b.read_bytes()
         assert "Generated 2026-01-01 00:00:00" in a.read_text()
 
@@ -195,10 +193,8 @@ class TestReportDeterminism:
             only=("F1", "T1"), profile="smoke", stamp="s",
             cache_dir=tmp_path / "cache", resume=True,
         )
-        from repro.experiments.report import generate_report_summary
-
-        _, first = generate_report_summary(tmp_path / "a.md", **kwargs)
-        path_b, second = generate_report_summary(tmp_path / "b.md", **kwargs)
+        _, first = generate_report(tmp_path / "a.md", **kwargs)
+        path_b, second = generate_report(tmp_path / "b.md", **kwargs)
         assert first.cache_hits == 0
         assert second.cache_hits == 2
         assert "cache hits: 2/2" in second.render()

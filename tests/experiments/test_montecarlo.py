@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.experiments.montecarlo import bootstrap_ci, run_expected_ratio
+from repro.experiments import run_spec
+from repro.experiments.montecarlo import EXPECTED_RATIO_SPEC, bootstrap_ci
 
 
 class TestBootstrapCI:
@@ -30,10 +31,10 @@ class TestBootstrapCI:
 class TestExpectedRatio:
     @pytest.fixture(scope="class")
     def exp(self):
-        return run_expected_ratio(
+        return run_spec(EXPECTED_RATIO_SPEC, dict(
             n=40, replications=6, loads=(1.0, 4.0), mus=(2.0, 8.0),
             node_budget=30_000,
-        )
+        ))
 
     def test_ci_brackets_mean(self, exp):
         for r in exp.rows:

@@ -163,14 +163,15 @@ def test_quick_bench_includes_vector_cells():
 
 
 def test_only_selects_single_cell():
-    """--only runs just the matching cells and nothing else."""
+    """--only runs just the matching cell's lap group and nothing else."""
     report = run_bench(
         quick=True, repeats=1, montecarlo=True,
         only="throughput/n2000/first-fit/default",
     )
+    # the two paths of one instance and algorithm share a lap group
     assert [
         (r["instance"], r["algorithm"], r["path"]) for r in report.throughput
-    ] == [("n2000", "first-fit", "default")]
+    ] == [("n2000", "first-fit", "default"), ("n2000", "first-fit", "reference")]
     assert report.service == []
     assert report.montecarlo == {}  # "montecarlo" does not match either
 

@@ -33,7 +33,7 @@ class TestReport:
         assert "span" in text
 
     def test_run_all_respects_only(self):
-        results = run_all_experiments(only=("F1",))
+        results = run_all_experiments(only=("F1",)).results()
         assert set(results) == {"F1"}
 
     def test_progress_callback(self, tmp_path):
@@ -42,7 +42,7 @@ class TestReport:
         assert seen == ["F1", "F2"]
 
     def test_table_experiments_rendered(self, tmp_path):
-        path = generate_report(tmp_path / "r.md", only=("F5-F6",))
+        path, _ = generate_report(tmp_path / "r.md", only=("F5-F6",))
         assert "Lemma 2" in path.read_text()
 
     def test_report_cache_flags(self, tmp_path, capsys):

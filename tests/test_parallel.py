@@ -95,18 +95,20 @@ class TestExperimentDeterminism:
     """Serial and parallel experiment shards must agree exactly."""
 
     def test_expected_ratio_worker_count_invariant(self):
-        from repro.experiments.montecarlo import run_expected_ratio
+        from repro.experiments import run_spec
+        from repro.experiments.montecarlo import EXPECTED_RATIO_SPEC
 
         cfg = dict(n=25, replications=3, loads=(2.0,), mus=(8.0,),
                    algorithms=("first-fit", "next-fit"), node_budget=8_000)
-        serial = run_expected_ratio(**cfg)
-        sharded = run_expected_ratio(**cfg, workers=2)
+        serial = run_spec(EXPECTED_RATIO_SPEC, cfg)
+        sharded = run_spec(EXPECTED_RATIO_SPEC, cfg, workers=2)
         assert serial.rows == sharded.rows
 
     def test_bounds_table_worker_count_invariant(self):
-        from repro.experiments.comparison import run_bounds_table
+        from repro.experiments import run_spec
+        from repro.experiments.comparison import BOUNDS_TABLE_SPEC
 
         cfg = dict(mu=4.0, algorithms=("first-fit", "next-fit"), node_budget=8_000)
-        serial = run_bounds_table(**cfg)
-        sharded = run_bounds_table(**cfg, workers=2)
+        serial = run_spec(BOUNDS_TABLE_SPEC, cfg)
+        sharded = run_spec(BOUNDS_TABLE_SPEC, cfg, workers=2)
         assert serial.rows == sharded.rows
