@@ -1,20 +1,19 @@
 #!/usr/bin/env python
 """Streaming simulation: watch a bursty day unfold, event by event.
 
-Uses the generator-based engine (``repro.core.engine``) instead of the
-batch driver: a bursty MMPP request stream is dispatched by First Fit
-while collectors track the fleet size and utilization live, printing a
-console "dashboard" line whenever the open-server count changes.
+Observers ride along with the batch driver: ``run_packing`` calls each
+one with ``(event, state)`` after every applied event.  A bursty MMPP
+request stream is dispatched by First Fit while a
+:class:`~repro.cloud.ConcurrencyMeter` tracks the fleet size and a
+console "dashboard" prints a line whenever the open-server count
+changes.
 
 Run:  python examples/streaming_monitor.py
 """
 
 from repro.algorithms import FirstFit, NextFit
-from repro.core.engine import (
-    OpenBinsCollector,
-    UtilizationCollector,
-    simulate,
-)
+from repro.cloud import ConcurrencyMeter
+from repro.core.packing import run_packing
 from repro.workloads.mmpp import mmpp_workload, two_phase_bursty
 from repro.workloads.profile import profile_instance
 
@@ -31,28 +30,28 @@ def main() -> None:
     print()
 
     print("live dispatch (First Fit) — one line per fleet-size change:")
-    open_bins = OpenBinsCollector()
-    util = UtilizationCollector()
+    meter = ConcurrencyMeter()
     last_count = -1
-    for snap in simulate(stream, FirstFit()):
-        open_bins.observe(snap)
-        util.observe(snap)
-        if snap.num_open_bins != last_count:
-            bar = "#" * snap.num_open_bins
-            print(f"  t={snap.time:7.2f}h  servers={snap.num_open_bins:>3d} {bar}")
-            last_count = snap.num_open_bins
+
+    def dashboard(event, state) -> None:
+        nonlocal last_count
+        if state.num_open != last_count:
+            bar = "#" * state.num_open
+            print(f"  t={event.time:7.2f}h  servers={state.num_open:>3d} {bar}")
+            last_count = state.num_open
+
+    result = run_packing(stream, FirstFit(), observers=[meter, dashboard])
     print()
-    print(f"peak fleet: {open_bins.peak} servers; "
-          f"time-weighted mean utilization: {util.mean_utilization:.1%}")
+    print(f"peak fleet: {meter.peak_open} servers; "
+          f"time-weighted mean fleet: {meter.mean_open:.2f} servers; "
+          f"utilization: {result.average_utilization:.1%}")
 
     # compare the burst response of First Fit vs Next Fit
     print()
     print("burst response comparison:")
     for algo in (FirstFit(), NextFit()):
-        c = OpenBinsCollector()
-        c.consume(simulate(stream, algo))
-        total_bins = max(b for _, b in c.series) if c.series else 0
-        print(f"  {algo.name:12s} peak fleet {c.peak:>3d}")
+        result = run_packing(stream, algo)
+        print(f"  {algo.name:12s} peak fleet {result.max_concurrent_bins:>3d}")
 
 
 if __name__ == "__main__":

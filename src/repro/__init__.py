@@ -63,7 +63,6 @@ __all__ = lazy_exports(
             "ItemList",
             "PackingResult",
             "PackingState",
-            "event_sequence",
             "run_packing",
             "span",
         ),

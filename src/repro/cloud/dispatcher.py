@@ -14,8 +14,9 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from ..algorithms.base import PackingAlgorithm
+from ..core.driver import Observer
 from ..core.items import ItemList
-from ..core.packing import PackingObserver, run_packing
+from ..core.packing import run_packing
 from ..core.result import PackingResult
 from .billing import BillingPolicy, ContinuousBilling
 from .server import InstanceType, ServerRecord
@@ -124,7 +125,7 @@ class Dispatcher:
     def dispatch(
         self,
         jobs: ItemList,
-        observers: Sequence[PackingObserver] = (),
+        observers: Sequence[Observer] = (),
     ) -> DispatchReport:
         """Run the full arrival/departure stream and bill the servers.
 

@@ -5,8 +5,7 @@ its one-event-at-a-time form, :class:`EventStepper`.  The scalar 1-D
 engine (:func:`repro.core.packing.run_packing`), the multi-dimensional
 engine (:func:`repro.multidim.packing.run_vector_packing`) and the
 heterogeneous fleet (:class:`repro.cloud.fleet.FleetDispatcher`) hand a
-state to :func:`run_events`; the streaming service, the snapshot
-generator :func:`repro.core.engine.simulate`, deferred dispatch
+state to :func:`run_events`; the streaming service, deferred dispatch
 (:func:`repro.deferral.engine.run_deferred_first_fit`) and warm-server
 retention (:class:`repro.cloud.retention.RetentionDispatcher`), which
 interleave their own work between events, drive the stepper.  The
@@ -122,11 +121,12 @@ class EventStepper:
 
     :func:`run_events` keeps its own inlined copy of these bodies: a
     :func:`run_events` that called :meth:`arrive`/:meth:`depart` per
-    event cost a median 1.036x the inlined loop's CPU on a
-    ~165-open-bin First Fit instance, slower in 75 of 120 alternating
-    in-process pairs (2-vCPU Intel Xeon VM, CPython 3.11).  Both are
-    built on :func:`bind_policy` and :func:`check_move`; the stream
-    differential pins them to each other.
+    event cost a median 1.085x the inlined loop's CPU on a rate-4
+    Poisson First Fit instance, slower in 89 of 90 alternating
+    in-process pairs (2-vCPU Intel Xeon VM, CPython 3.11.7; the table
+    is in ``docs/ARCHITECTURE.md``).  Both are built on
+    :func:`bind_policy` and :func:`check_move`; the stream differential
+    pins them to each other.
 
     ``fault_hook`` is the chaos-testing seam: when set (by the fault
     injection harness, :mod:`repro.service.faults`), it is called with

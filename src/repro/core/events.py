@@ -1,12 +1,14 @@
 """Event model for the online packing simulation.
 
 The simulation is event-driven: the only times at which the system state
-changes are item arrivals and departures.  This module turns an item list
-into a deterministic, totally ordered event sequence.  It is resource
-agnostic: any item with ``arrival``/``departure`` attributes streams
-through it, so the scalar :class:`~repro.core.items.ItemList` and the
-vector :class:`~repro.multidim.items.VectorItemList` share the exact
-same ordering.
+changes are item arrivals and departures.  :func:`event_tuples` turns an
+item list into the deterministic, totally ordered event stream that
+:func:`repro.core.driver.run_events` replays; an :class:`Event` is what
+observers receive.  It is resource agnostic: any item with
+``arrival``/``departure`` attributes streams through it, so the scalar
+:class:`~repro.core.items.ItemList` and the vector
+:class:`~repro.multidim.items.VectorItemList` share the exact same
+ordering.
 
 Ordering rules (these are load-bearing and pinned by tests):
 
@@ -27,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .items import Item, ItemList
 
-__all__ = ["EventKind", "Event", "event_sequence", "event_tuples"]
+__all__ = ["EventKind", "Event", "event_tuples"]
 
 
 class EventKind(enum.IntEnum):
@@ -53,18 +55,6 @@ class Event:
     kind: EventKind
     seq: int
     item: Item = field(compare=False)
-
-
-def event_sequence(items: ItemList | Sequence[Item]) -> list[Event]:
-    """The full, sorted event sequence for an instance.
-
-    :func:`event_tuples`'s order, materialised as :class:`Event` objects.
-    """
-    kinds = (EventKind.DEPART, EventKind.ARRIVE)
-    return [
-        Event(time, kinds[kind], seq, item)
-        for time, kind, seq, item in event_tuples(items)
-    ]
 
 
 def event_tuples(

@@ -2,7 +2,11 @@
 
 :func:`run_packing` replays an instance's event sequence through an
 online algorithm and returns a :class:`~repro.core.result.PackingResult`.
-The event loop itself lives in :mod:`repro.core.driver` — the single,
+It is one of the driver's two entry points: observers passed here see
+``(event, state)`` after every applied event, and a caller that
+interleaves its own work between events drives
+:class:`~repro.core.driver.EventStepper` instead.  The event loop
+itself lives in :mod:`repro.core.driver` — the single,
 resource-agnostic driver shared with the vector engine
 (:func:`repro.multidim.packing.run_vector_packing`).  The driver — not
 the algorithm — owns correctness: it validates every placement against
@@ -22,20 +26,14 @@ from .items import Item, ItemList
 from .result import PackingResult
 from .state import PackingState
 
-__all__ = ["run_packing", "PackingObserver"]
-
-#: Observer callback signature: ``(event, state)`` after each event is
-#: applied.  Used by metrics collection and the cloud cost accountant.
-#: (Alias of :data:`repro.core.driver.Observer` — observers written
-#: against the shared state surface work on both engines.)
-PackingObserver = Observer
+__all__ = ["run_packing"]
 
 
 def run_packing(
     items: ItemList | Sequence[Item] | Iterable[Item],
     algorithm: "PackingAlgorithm",
     capacity: float = 1.0,
-    observers: Sequence[PackingObserver] = (),
+    observers: Sequence[Observer] = (),
     indexed: bool = True,
 ) -> PackingResult:
     """Pack ``items`` online with ``algorithm`` and return the result.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.core.items import Item, ItemList
+from repro.multidim.items import VectorItem, VectorItemList
 
 
 @pytest.fixture
@@ -65,3 +66,20 @@ def item_lists(
         return ItemList(items)
 
     return build()
+
+
+@st.composite
+def vector_instances(draw, max_items=25, max_dims=3):
+    """Strategy for valid random vector instances of 1 to ``max_dims``
+    resources, unit capacity in each."""
+    dims = draw(st.integers(1, max_dims))
+    n = draw(st.integers(1, max_items))
+    items = []
+    for i in range(n):
+        arrival = round(draw(st.floats(0.0, 30.0, allow_nan=False)), 2)
+        duration = round(draw(st.floats(1.0, 8.0, allow_nan=False)), 2)
+        sizes = tuple(
+            round(draw(st.floats(0.01, 1.0, allow_nan=False)), 3) for _ in range(dims)
+        )
+        items.append(VectorItem(i, sizes, arrival, arrival + duration))
+    return VectorItemList(items, capacity=tuple(1.0 for _ in range(dims)))

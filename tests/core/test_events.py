@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.events import EventKind, event_sequence, event_tuples
+from repro.core.events import EventKind, event_tuples
 from repro.core.items import Item, ItemList
 from repro.multidim.items import VectorItem, VectorItemList
 
@@ -48,46 +48,48 @@ def integer_time_items(draw, vector=False):
 class TestEventOrdering:
     def test_time_ordering(self):
         items = ItemList([Item(0, 0.5, 1.0, 3.0), Item(1, 0.5, 0.0, 2.0)])
-        events = event_sequence(items)
-        times = [e.time for e in events]
+        times = [time for time, _, _, _ in event_tuples(items)]
         assert times == sorted(times)
 
     def test_departure_before_arrival_at_same_time(self):
         # item 0 departs at t=1 exactly when item 1 arrives: the departure
         # must be processed first (half-open intervals free the space)
         items = ItemList([Item(0, 1.0, 0.0, 1.0), Item(1, 1.0, 1.0, 2.0)])
-        events = event_sequence(items)
-        at_one = [e for e in events if e.time == 1.0]
-        assert [e.kind for e in at_one] == [EventKind.DEPART, EventKind.ARRIVE]
+        at_one = [kind for time, kind, _, _ in event_tuples(items) if time == 1.0]
+        assert at_one == [EventKind.DEPART, EventKind.ARRIVE]
 
     def test_simultaneous_arrivals_follow_instance_order(self):
         items = ItemList(
             [Item(5, 0.1, 0.0, 1.0), Item(3, 0.1, 0.0, 1.0), Item(9, 0.1, 0.0, 1.0)]
         )
-        arrivals = [e for e in event_sequence(items) if e.kind is EventKind.ARRIVE]
-        assert [e.item.item_id for e in arrivals] == [5, 3, 9]
+        arrivals = [
+            item.item_id
+            for _, kind, _, item in event_tuples(items)
+            if kind == EventKind.ARRIVE
+        ]
+        assert arrivals == [5, 3, 9]
 
     def test_two_events_per_item(self):
         items = ItemList([Item(i, 0.2, i * 0.5, i * 0.5 + 1) for i in range(7)])
-        assert len(event_sequence(items)) == 14
+        assert len(list(event_tuples(items))) == 14
 
     @given(item_lists(max_items=25))
     def test_event_sequence_is_sorted_and_complete(self, items):
-        events = event_sequence(items)
+        events = list(event_tuples(items))
         assert len(events) == 2 * len(items)
         for a, b in zip(events, events[1:]):
-            assert (a.time, a.kind) <= (b.time, b.kind)
-        arrivals = sum(1 for e in events if e.kind is EventKind.ARRIVE)
+            assert a[:2] <= b[:2]
+        arrivals = sum(1 for _, kind, _, _ in events if kind == EventKind.ARRIVE)
         assert arrivals == len(items)
 
     @given(item_lists(max_items=25))
     def test_departure_never_precedes_arrival_of_same_item(self, items):
         seen_arrival = set()
-        for e in event_sequence(items):
-            if e.kind is EventKind.ARRIVE:
-                seen_arrival.add(e.item.item_id)
+        for _, kind, _, item in event_tuples(items):
+            if kind == EventKind.ARRIVE:
+                seen_arrival.add(item.item_id)
             else:
-                assert e.item.item_id in seen_arrival
+                assert item.item_id in seen_arrival
 
 
 class TestLazyMergeEqualsTupleSort:

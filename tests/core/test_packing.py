@@ -2,14 +2,16 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import ALGORITHM_REGISTRY, FirstFit, make_algorithm
 from repro.algorithms.base import PackingAlgorithm
 from repro.core.events import EventKind
 from repro.core.items import Item, ItemList
 from repro.core.packing import run_packing
+from repro.multidim import VECTOR_REGISTRY, make_vector_algorithm, run_vector_packing
 
-from ..conftest import item_lists
+from ..conftest import item_lists, vector_instances
 
 
 class TestDriverBasics:
@@ -117,6 +119,45 @@ def test_capacity_never_violated_property(items):
                 violations.append((event.time, b.index, b.level))
 
     run_packing(items, FirstFit(), observers=[check])
+    assert violations == []
+
+
+@given(item_lists(max_items=30), st.sampled_from(sorted(ALGORITHM_REGISTRY)))
+@settings(max_examples=60, deadline=None)
+def test_total_level_tracks_open_bins_property(items, name):
+    """After every event, the running ``total_level`` equals the summed
+    level of the open bins, and is exactly 0.0 whenever none is open."""
+    violations = []
+
+    def check(event, state):
+        resum = sum(b.level for b in state.open_bins())
+        if state.total_level != pytest.approx(resum, abs=1e-9) or (
+            state.num_open == 0 and state.total_level != 0.0
+        ):
+            violations.append((event.time, state.total_level, resum))
+
+    run_packing(items, make_algorithm(name), observers=[check])
+    assert violations == []
+
+
+@given(vector_instances(), st.sampled_from(sorted(VECTOR_REGISTRY)))
+@settings(max_examples=60, deadline=None)
+def test_vector_total_level_tracks_open_bins_property(items, name):
+    """The same accounting per dimension on the vector engine."""
+    violations = []
+
+    def check(event, state):
+        resum = [
+            sum(b.levels[d] for b in state.open_bins())
+            for d in range(state.dimensions)
+        ]
+        total = state.total_level
+        if total != pytest.approx(resum, abs=1e-9) or (
+            state.num_open == 0 and total != (0.0,) * state.dimensions
+        ):
+            violations.append((event.time, total, resum))
+
+    run_vector_packing(items, make_vector_algorithm(name), observers=[check])
     assert violations == []
 
 

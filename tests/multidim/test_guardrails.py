@@ -12,9 +12,11 @@ import pytest
 
 from repro.algorithms import FirstFit
 from repro.algorithms.base import PackingAlgorithm
-from repro.core.engine import simulate
+from repro.core.driver import EventStepper
+from repro.core.events import event_tuples
 from repro.core.items import Item, ItemList
 from repro.core.packing import run_packing
+from repro.core.state import PackingState
 from repro.multidim import (
     VectorAlgorithm,
     VectorItem,
@@ -79,6 +81,18 @@ class _VectorClosedBinChooser(VectorAlgorithm):
         return None
 
 
+def step_through(items, algorithm):
+    """Feed ``items``' event stream to an :class:`EventStepper`, as the
+    service and the side engines step the driver."""
+    stepper = EventStepper(algorithm, PackingState(capacity=items.capacity))
+    for time, kind, seq, item in event_tuples(items):
+        if kind:
+            stepper.arrive(time, seq, item)
+        else:
+            stepper.depart(time, seq, item)
+    stepper.finish()
+
+
 class TestClosedBinPlacement:
     """Both engines must reject a policy that targets a closed bin.
 
@@ -89,9 +103,7 @@ class TestClosedBinPlacement:
     """
 
     @pytest.mark.parametrize(
-        "run",
-        [run_packing, lambda items, algo: list(simulate(items, algo))],
-        ids=["run_packing", "simulate"],
+        "run", [run_packing, step_through], ids=["run_packing", "step"]
     )
     def test_scalar_driver_rejects_closed_bin(self, run):
         items = ItemList(
@@ -112,7 +124,6 @@ class TestClosedBinPlacement:
 
     def test_state_place_rejects_closed_bin_directly(self):
         """The state-level backstop uses one message for both resources."""
-        from repro.core.state import PackingState
         from repro.multidim.state import VectorPackingState
 
         s = PackingState(capacity=1.0)

@@ -1,29 +1,11 @@
 """Property-based tests for the multi-dimensional extension."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from repro.multidim import (
-    VECTOR_REGISTRY,
-    VectorItem,
-    VectorItemList,
-    run_vector_packing,
-)
+from repro.multidim import VECTOR_REGISTRY, run_vector_packing
 
-
-@st.composite
-def vector_instances(draw, max_items=25, max_dims=3):
-    dims = draw(st.integers(1, max_dims))
-    n = draw(st.integers(1, max_items))
-    items = []
-    for i in range(n):
-        arrival = round(draw(st.floats(0.0, 30.0, allow_nan=False)), 2)
-        duration = round(draw(st.floats(1.0, 8.0, allow_nan=False)), 2)
-        sizes = tuple(
-            round(draw(st.floats(0.01, 1.0, allow_nan=False)), 3) for _ in range(dims)
-        )
-        items.append(VectorItem(i, sizes, arrival, arrival + duration))
-    return VectorItemList(items, capacity=tuple(1.0 for _ in range(dims)))
+from ..conftest import vector_instances
 
 
 class TestVectorProperties:

@@ -19,8 +19,8 @@ packing anywhere:
    D=1 vector instance is literally a scalar instance.
 
 Plus structural tests: :mod:`repro.multidim.packing` must contain no
-event loop of its own, and the side engines (``simulate``, deferral,
-fleet, retention) must place through the driver — it is the only one.
+event loop of its own, and the side engines (deferral, fleet,
+retention) must place through the driver — it is the only one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import repro.multidim.packing as vector_packing_mod
 from repro.algorithms import make_algorithm
 from repro.cloud.fleet import FleetDispatcher
 from repro.cloud.retention import RetentionDispatcher
-from repro.core.engine import simulate
 from repro.core.items import Item, ItemList
 from repro.core.packing import run_packing
 from repro.deferral import run_deferred_first_fit
@@ -173,12 +172,11 @@ def test_vector_packing_module_has_no_event_loop():
 @pytest.mark.parametrize(
     "entry_point",
     [
-        simulate,
         run_deferred_first_fit,
         FleetDispatcher.dispatch,
         RetentionDispatcher.dispatch,
     ],
-    ids=["simulate", "deferral", "fleet", "retention"],
+    ids=["deferral", "fleet", "retention"],
 )
 def test_side_engines_place_through_the_driver(entry_point):
     """The side engines hand every placement to the driver's loop or stepper."""
